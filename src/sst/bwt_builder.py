@@ -1,14 +1,20 @@
 """Burrows-Wheeler transform built from a synchronizing set.
 
-The pipeline never sorts all suffixes of the text.  It sorts only the
-suffixes starting at synchronizing positions, encodes the neighborhood
-of each such position as an integer window, and reads the transform out
-of a wavelet tree over those windows: every distinguishing label
-contributes one contiguous block.  Positions inside long highly
-periodic stretches carry no synchronizing position; their blocks are
-filled with the dominant symbol and then patched by a rank computation
-over the periodic runs.  A plain suffix-array fallback covers inputs
-too small or too wide for the packed pipeline.
+The pipeline compares whole suffixes only at synchronizing positions: it
+sorts those suffixes through the reduced string.  Every other suffix
+T[i..] sorts first by its window T[i..i+3tau-1), cut at the text end,
+then by the window length.  By consistency, positions that share a full
+prefix T[i..succ(i)+2tau) with succ(i) less than tau ahead share the
+offset succ(i) - i, so the rank of succ(i) among the sorted
+synchronizing suffixes breaks their ties.  One sort of all n positions
+on (window, length, rank) thus emits the transform.  A position with no
+synchronizing position within tau ahead either starts a short suffix at
+the text end, which its window decides, or, by density, a highly
+periodic window of length 3tau-1.  Those windows form one block per
+label; a block is filled with the period symbol and its run-start slots
+are patched by a rank computation over the periodic runs.  A plain
+suffix-array fallback covers inputs too small or too wide for the packed
+pipeline.
 """
 
 from collections import Counter
@@ -17,10 +23,9 @@ from functools import cmp_to_key
 import numpy as np
 
 from .lce_index import LceIndex, default_tau
-from .packed_text import bulk_keys, extract, period_of, substring_period
-from .succinct import build_wavelet_degree
+from .packed_text import bulk_keys, extract, substring_period
 from .suffix_core import SuffixArrayIndex
-from .sync_set import SyncSet, construct
+from .sync_set import construct
 from .sync_sort import sort_sync_suffixes
 
 
@@ -75,48 +80,6 @@ class FreqTable:
         return int(np.sum(self.counts))
 
 
-def choose_sentinel(pt, tau):
-    """Smallest symbol c with c plus the text prefix not highly periodic.
-
-    >>> from .packed_text import pack
-    >>> choose_sentinel(pack([0, 0, 0, 0, 0, 0], 2), 3)
-    1
-    >>> choose_sentinel(pack([1, 1, 1, 1, 1, 1], 2), 3)
-    0
-    """
-    if pt.n < 2 * tau - 1:
-        raise ValueError("text shorter than the sentinel context")
-    head = [pt.char_at(k) for k in range(1, 2 * tau)]
-    for c in range(pt.sigma):
-        if 3 * period_of([c] + head) > tau:
-            return c
-    raise AssertionError("every symbol extends a highly periodic prefix")
-
-
-def augment_sync_set(pt, tau, s, b_sentinel):
-    """Add every occurrence of b_sentinel plus T[1..2tau) to the set."""
-    n = pt.n
-    m = n - 2 * tau + 1
-    if m < 1:
-        return s
-    head_len = 2 * tau - 1
-    sym = np.asarray(pt.symbols, dtype=np.int64)
-    if head_len * pt.bits_per_symbol <= 62:
-        keys = bulk_keys(pt, head_len, start=2, stop=m + 1)
-        want = extract(pt, 1, head_len).value
-        hits = np.nonzero((sym[:m] == b_sentinel) & (keys == want))[0] + 1
-    else:
-        want = extract(pt, 1, head_len)
-        hits = np.array([j for j in range(1, m + 1)
-                         if sym[j - 1] == b_sentinel
-                         and extract(pt, j + 1, head_len) == want],
-                        dtype=np.int64)
-    if not len(hits):
-        return s
-    merged = np.union1d(np.asarray(s.positions, dtype=np.int64), hits)
-    return SyncSet(tau, n, merged)
-
-
 def count_freq(pt, ell):
     """Frequency table of all length-ell substrings of the text."""
     if ell < 1:
@@ -134,132 +97,60 @@ def count_freq(pt, ell):
     return FreqTable(ell, u, c)
 
 
-def _window_codes(pt, tau, positions, b_sentinel, base):
-    # digit t carries T[s - tau + t]; T[0] = b_sentinel, T[k < 0] = 0
-    sym = np.asarray(pt.symbols, dtype=np.int64)
-    pad = np.zeros(tau, dtype=np.int64)
-    pad[tau - 1] = b_sentinel
-    ext = np.concatenate([pad, sym])
-    starts = np.asarray(positions, dtype=np.int64) - 1
-    w = np.zeros(len(starts), dtype=np.int64)
-    for t in range(3 * tau - 1, -1, -1):
-        w = w * base + ext[starts + t]
-    return w
+def _sort_keys(pt, tau, s, order):
+    """Per-position sort keys: window, window length, successor rank.
 
-
-def build_w(pt, tau, sorted_order, b_sentinel):
-    """Reversed context windows of the sorted positions, as integers.
-
-    W[i] reads the window T[s - tau .. s + 2tau) of the i-th position in
-    suffix order, least significant digit at the left edge, which equals
-    the reversed window interpreted as a 3tau-digit base-sigma number.
-    """
-    return _window_codes(pt, tau, sorted_order.sorted_positions,
-                         b_sentinel, pt.sigma)
-
-
-def _label_digits(v, d, sigma):
-    out = [0] * d
-    for t in range(d - 1, -1, -1):
-        out[t] = v % sigma
-        v //= sigma
-    return out
-
-
-def _block_rank(wt, code, w_index, depth, bits):
-    """Entries before w_index inside the depth-level node holding code."""
-    sp2 = 1 << bits
-    q = w_index
-    label = 0
-    for d in range(depth):
-        c = (code >> (bits * (wt.depth - 1 - d))) & (sp2 - 1)
-        digits = wt.node_by_value(d, label)
-        q = int(np.count_nonzero(digits[:q] == c))
-        label = (label << bits) | c
-    return q
-
-
-def _emit_blocks(pt, tau, saug, order, b_sentinel):
-    """Preorder walk over occurring labels, emitting the unpatched output.
-
-    Returns the output array, the block base offset of every periodic
-    leaf label, and the slot of the whole-text suffix when its
-    distinguishing label was reached during the walk.
+    The window is T[i..i+3tau-1) cut at the text end, as a base-sigma key
+    zero-padded to 3tau-1 digits.  The rank is that of succ(i) among the
+    sorted synchronizing suffixes when succ(i) lies less than tau ahead,
+    and 0 otherwise.
     """
     n, sigma = pt.n, pt.sigma
-    bits = pt.bits_per_symbol
-    sp2 = 1 << bits
-    dmax = 3 * tau - 1
-    two_tau = 2 * tau
+    cap = 3 * tau - 1
+    key = np.zeros(n, dtype=np.int64)
+    for t in range(cap):
+        key *= sigma
+        key[:n - t] += pt.symbols[t:]
+    pos = np.arange(1, n + 1, dtype=np.int64)
+    k = np.searchsorted(s.positions, pos)
+    # past the last member the successor reads as n + tau, never near
+    near = np.append(s.positions, n + tau)[k] - pos < tau
+    tie = np.where(near, np.append(order.rank_of_index, 0)[k], 0)
+    return key, np.minimum(cap, n + 1 - pos), tie
 
-    occ = [None] * (dmax + 1)
-    for d in range(1, dmax):
-        occ[d] = np.unique(bulk_keys(pt, d))
-    leaf_keys, leaf_counts = np.unique(bulk_keys(pt, dmax),
-                                       return_counts=True)
-    occ[dmax] = leaf_keys
-    ft = FreqTable(dmax, leaf_keys, leaf_counts.astype(np.int64))
 
-    tcodes = _window_codes(pt, tau, order.sorted_positions, b_sentinel, sp2)
-    wt = build_wavelet_degree(tcodes, sp2, 3 * tau)
+def _emit_blocks(pt, tau, s, order):
+    """Sort all suffixes by their sort keys, emitting the unpatched output.
 
-    sig2t = sigma ** two_tau
-    yes_vals = bulk_keys(pt, two_tau)[np.asarray(saug.positions) - 1] \
-        if len(saug) else np.zeros(0, dtype=np.int64)
-    if sig2t <= 1 << 22:
-        dense = np.zeros(sig2t, dtype=bool)
-        dense[yes_vals] = True
-        yes = dense.__getitem__
-    else:
-        yes = set(int(v) for v in yes_vals).__contains__
+    Returns the output array, the block base offset of every periodic
+    leaf label, and the slot of the whole-text suffix unless it lies in
+    a periodic block, where only the run correction can place it.
+    """
+    sigma = pt.sigma
+    cap = 3 * tau - 1
+    key, length, tie = _sort_keys(pt, tau, s, order)
+    sa0 = np.lexsort((tie, length, key))
+    bwt = pt.symbols[sa0 - 1].astype(np.int64)
 
-    suffix_key = {d: extract(pt, n - d + 1, d).value
-                  for d in range(1, dmax)}
-    prefix_key = {d: extract(pt, 1, d).value for d in range(1, dmax + 1)}
-    if len(order):
-        i1 = int(order.rank_of_index[0])
-        code1 = int(tcodes[i1 - 1])
-
-    parts = []
-    emitted = 0
-    fbase = {}
-    primary = None
-    stack = [(int(occ[1][t]), int(occ[1][t]), 1)
-             for t in range(len(occ[1]) - 1, -1, -1)]
-    while stack:
-        v, rk, d = stack.pop()
-        if d >= two_tau and yes(v % sig2t):
-            block = wt.node_by_value(d, rk)
-            if prefix_key[d] == v:
-                # whole-text suffix sits in this block; pruning above
-                # guarantees at most one label matches a text prefix
-                assert primary is None
-                primary = emitted + _block_rank(wt, code1, i1 - 1,
-                                                d, bits) + 1
-            parts.append(block)
-            emitted += len(block)
-            continue
-        if d == dmax:
-            f = ft.get(v)
-            digs = _label_digits(v, d, sigma)
-            fill = digs[period_of(digs) - 1]
-            parts.append(np.full(f, fill, dtype=np.int64))
-            fbase[v] = emitted
-            emitted += f
-            continue
-        if suffix_key[d] == v:
-            parts.append(np.array([pt.char_at(n - d)], dtype=np.int64))
-            emitted += 1
-        nxt = occ[d + 1]
-        lo = int(np.searchsorted(nxt, v * sigma))
-        hi = int(np.searchsorted(nxt, (v + 1) * sigma))
-        step = 1 << (bits * d)
-        for t in range(hi - 1, lo - 1, -1):
-            cv = int(nxt[t])
-            stack.append((cv, rk + (cv - v * sigma) * step, d + 1))
-    assert emitted == n, "walk emitted a wrong total"
-    bwt = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    return bwt.astype(np.int64), fbase, primary
+    # far from every member, a full window is highly periodic (density):
+    # its block is filled with the period symbol and patched at run starts
+    blk = ((tie == 0) & (length == cap))[sa0]
+    skey = key[sa0]
+    first = blk.copy()
+    first[1:] &= ~(blk[:-1] & (skey[1:] == skey[:-1]))
+    starts = np.nonzero(first)[0]
+    labels = skey[starts]
+    fill = np.full(len(labels), -1, dtype=np.int64)
+    for p in range(1, tau // 3 + 1):
+        tail = sigma ** (cap - p)
+        hit = (fill < 0) & (labels // sigma ** p == labels % tail)
+        fill[hit] = labels[hit] // tail % sigma
+    if np.any(fill < 0):
+        raise AssertionError("periodic block label without a short period")
+    bwt[blk] = fill[np.cumsum(first)[blk] - 1]
+    slot1 = int(np.nonzero(sa0 == 0)[0][0])
+    primary = None if blk[slot1] else slot1 + 1
+    return bwt, dict(zip(labels.tolist(), starts.tolist())), primary
 
 
 def derive_runs(pt, tau, s):
@@ -284,12 +175,14 @@ def derive_runs(pt, tau, s):
         if rid == len(roots):
             roots.append(root)
         k, u2 = divmod(e - j - delta, p)
-        assert k >= 1
-        if e <= n:
-            assert pt.char_at(e) != pt.char_at(e - p), "no period break"
+        if k < 1:
+            raise AssertionError("run at %d shorter than its period" % j)
+        if e <= n and pt.char_at(e) == pt.char_at(e - p):
+            raise AssertionError("no period break at %d" % e)
         typ = 1 if e <= n and pt.char_at(e) > pt.char_at(e - p) else -1
         runs.append(PeriodicRun(j, e, typ, rid, (delta, k, u2)))
-    assert len(runs) <= len(sp) + 1
+    if len(runs) > len(sp) + 1:
+        raise AssertionError("more runs than gaps between members")
     return runs, roots
 
 
@@ -350,13 +243,13 @@ def _ramp_sum(tables, kq):
     return int(rp[ir]) - kq * ir + kq * il - int(lp[il])
 
 
-def correct_periodic(pt, tau, runs, bwt, bases, roots, lce=None):
+def correct_periodic(pt, tau, runs, bwt, bases, roots, lce):
     """Patch the run-start slots of the filled blocks, in place.
 
     bases maps the integer key of each periodic leaf label to the output
-    offset of its block.  Returns the slot of the whole-text suffix when
-    position 1 starts a run, else None.  Without an lce argument the
-    tail comparisons fall back to a full suffix sort.
+    offset of its block, and lce answers the tail comparisons.  Returns
+    the slot of the whole-text suffix when position 1 starts a run, else
+    None.
     """
     if not runs:
         return None
@@ -364,21 +257,18 @@ def correct_periodic(pt, tau, runs, bwt, bases, roots, lce=None):
     cap = 3 * tau - 1
     uniq_e = sorted({r.e for r in runs})
     body = [e for e in uniq_e if e <= n]
-    if lce is None:
-        idx = SuffixArrayIndex(np.asarray(pt.symbols, dtype=np.int64))
-        tr = {e: (0 if e > n else int(idx.isa[e - 1])) for e in uniq_e}
-    else:
-        def cmp(ea, eb):
-            if ea == eb:
-                return 0
-            la, lb = n - ea + 1, n - eb + 1
-            ell = lce.query(ea, eb)
-            if ell >= la or ell >= lb:
-                return -1 if la < lb else 1
-            return -1 if pt.char_at(ea + ell) < pt.char_at(eb + ell) else 1
-        ordered = [e for e in uniq_e if e > n] + sorted(body,
-                                                       key=cmp_to_key(cmp))
-        tr = {e: i for i, e in enumerate(ordered)}
+
+    def cmp(ea, eb):
+        if ea == eb:
+            return 0
+        la, lb = n - ea + 1, n - eb + 1
+        ell = lce.query(ea, eb)
+        if ell >= la or ell >= lb:
+            return -1 if la < lb else 1
+        return -1 if pt.char_at(ea + ell) < pt.char_at(eb + ell) else 1
+
+    ordered = [e for e in uniq_e if e > n] + sorted(body, key=cmp_to_key(cmp))
+    tr = {e: i for i, e in enumerate(ordered)}
 
     m = len(runs)
     rid = np.array([r.lroot_id for r in runs], dtype=np.int64)
@@ -485,22 +375,22 @@ def build_bwt(pt, tau=None, force_naive=False):
         raise ValueError("tau must be positive")
     if force_naive or n < 3 * tau - 1 or 3 * tau * pt.bits_per_symbol > 62:
         return _naive_result(pt, tau)
-    b_sent = choose_sentinel(pt, tau)
     s = construct(pt, tau, mode="fast")
-    saug = augment_sync_set(pt, tau, s, b_sent)
-    order = sort_sync_suffixes(pt, saug)
-    bwt, fbase, primary = _emit_blocks(pt, tau, saug, order, b_sent)
-    runs, roots = derive_runs(pt, tau, saug)
+    order = sort_sync_suffixes(pt, s)
+    bwt, bases, primary = _emit_blocks(pt, tau, s, order)
+    runs, roots = derive_runs(pt, tau, s)
     if runs:
-        lce = LceIndex(pt, tau, sync=saug, order=order)
-        slot = correct_periodic(pt, tau, runs, bwt, fbase, roots, lce=lce)
+        lce = LceIndex(pt, tau, sync=s, order=order)
+        slot = correct_periodic(pt, tau, runs, bwt, bases, roots, lce)
         if slot is not None:
-            assert primary is None
+            if primary is not None:
+                raise AssertionError("whole-text suffix placed twice")
             primary = slot
-    assert primary is not None, "whole-text suffix slot never located"
+    if primary is None:
+        raise AssertionError("whole-text suffix slot never located")
     bwt[primary - 1] = pt.char_at(n)
     meta = {"n": n, "sigma": pt.sigma, "tau": tau,
-            "primary_index": primary, "sync_size": len(saug),
+            "primary_index": primary, "sync_size": len(s),
             "pipeline": "sync", "range_count": "fenwick"}
     if pt.sigma <= 256:
         bwt = bwt.astype(np.uint8)

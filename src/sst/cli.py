@@ -227,7 +227,7 @@ def cmd_bench(args):
         tasks = [
             ("sync_construct_fast",
              lambda pt=pt, tau=tau: construct(pt, tau, mode="fast")),
-            ("build_lce", lambda pt=pt: LceIndex(pt)),
+            ("lce_build", lambda pt=pt: LceIndex(pt)),
             ("build_bwt_sync", lambda pt=pt: build_bwt(pt)),
             ("build_bwt_naive",
              lambda pt=pt: build_bwt(pt, force_naive=True)),

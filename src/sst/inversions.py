@@ -75,7 +75,8 @@ def build_reduction_small(a, k):
         bits.extend([1] * k)
         bits.extend(_pad_zeros(_bin_bits(i - 1, logm)))
         bits.append(0)
-    assert len(bits) == m * (3 + 2 * logm + 2 * k)
+    if len(bits) != m * (3 + 2 * logm + 2 * k):
+        raise AssertionError("small encoding has a wrong length")
     return ReductionText(pack(bits, 2), m, k, "small")
 
 
@@ -94,7 +95,8 @@ def build_reduction_general(a):
         bits.append(0)
         bits.extend([1] * logm)
         bits.append(0)
-    assert len(bits) == m * (4 * logm + 5)
+    if len(bits) != m * (4 * logm + 5):
+        raise AssertionError("general encoding has a wrong length")
     return ReductionText(pack(bits, 2), m, logm, "general")
 
 
@@ -136,7 +138,8 @@ def _blocks_small(rt, force_naive):
             cur += 1
         stack.append((v * 2 + 1, d + 1))
         stack.append((v * 2, d + 1))
-    assert cur == n, "cursor drifted off the transform"
+    if cur != n:
+        raise AssertionError("cursor drifted off the transform")
     return blocks
 
 
@@ -169,7 +172,8 @@ def _blocks_general(rt, force_naive):
                 blocks[_label_string(wval, wlen)] = \
                     np.array(bwt[cur + f - fe:cur + f], dtype=np.uint8)
         cur += f
-    assert cur == n, "cursor drifted off the transform"
+    if cur != n:
+        raise AssertionError("cursor drifted off the transform")
     return blocks
 
 

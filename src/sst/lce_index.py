@@ -92,11 +92,3 @@ class LceIndex:
         gb = (pos[bi + 1] if bi + 1 < nprime else sent) - b
         return a - i + min(ga, gb) + 2 * tau - 1
 
-
-def build_lce(pt, tau=None, sync=None, order=None):
-    """Build the LCE index; constructs a synchronizing set if not given."""
-    return LceIndex(pt, tau=tau, sync=sync, order=order)
-
-
-def lce_query(idx, i, j):
-    return idx.query(i, j)

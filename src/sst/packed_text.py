@@ -14,9 +14,6 @@ import numpy as np
 
 WORD_BITS = 64
 
-# chunk tables for reverse_key, built on demand, keyed by bits per symbol
-_REV16_TABLES = {}
-
 
 def _bits_for(sigma):
     return max(1, int(sigma - 1).bit_length())
@@ -183,47 +180,6 @@ def lcp_fragments(pt, i, j, cap):
         p2 += take
         remaining -= take
     return limit
-
-
-def reverse_key(key):
-    """Key of the reversed substring.
-
-    Power-of-two alphabets go through 16-bit chunk reversal tables; other
-    alphabets fall back to a digit loop.  Involution: reversing twice gives
-    the original key.
-    """
-    b = _bits_for(key.sigma)
-    if key.sigma == (1 << b) and b in (1, 2, 4, 8):
-        table = _rev16_table(b)
-        nbits = key.length * b
-        chunks = (nbits + 15) // 16
-        x = key.value
-        y = 0
-        for _ in range(chunks):
-            y = (y << 16) | table[x & 0xFFFF]
-            x >>= 16
-        y >>= chunks * 16 - nbits
-        return SubstringKey(y, key.length, key.sigma)
-    digits = key.to_symbols()
-    value = 0
-    for d in reversed(digits):
-        value = value * key.sigma + d
-    return SubstringKey(value, key.length, key.sigma)
-
-
-def _rev16_table(b):
-    table = _REV16_TABLES.get(b)
-    if table is None:
-        groups = 16 // b
-        vals = np.arange(1 << 16, dtype=np.uint32)
-        out = np.zeros(1 << 16, dtype=np.uint32)
-        mask = (1 << b) - 1
-        for g in range(groups):
-            out |= ((vals >> np.uint32(g * b)) & np.uint32(mask)) << np.uint32(
-                (groups - 1 - g) * b)
-        table = out.tolist()
-        _REV16_TABLES[b] = table
-    return table
 
 
 def substring_period(pt, i, length):

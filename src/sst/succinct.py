@@ -1,10 +1,8 @@
-"""Rank bitvectors and wavelet trees.
+"""Rank bitvectors.
 
 The rank structure keeps the raw bits in 64-bit words plus a two-level
 count directory: cumulative counts per 512-bit superblock and 16-bit
-offsets per word.  Wavelet trees are stored level by level; each level
-holds the concatenation of its node contents in node order, so a node is
-a slice given by the offset table.
+offsets per word.
 """
 
 import numpy as np
@@ -22,7 +20,7 @@ def _to_bit_array(bits):
 class RankBitvector:
     """Static bitvector with constant-time prefix rank.
 
-    >>> rb = build_rank([1, 0, 1, 1, 0])
+    >>> rb = RankBitvector([1, 0, 1, 1, 0])
     >>> [rb.rank1(i) for i in range(6)]
     [0, 1, 1, 2, 3, 3]
     """
@@ -73,115 +71,6 @@ class RankBitvector:
     def aux_bits(self):
         """Directory size in bits, excluding the raw payload."""
         return 64 * len(self._super) + 16 * len(self._offsets)
-
-
-def build_rank(bits):
-    return RankBitvector(bits)
-
-
-class BinaryWaveletTree:
-    """Wavelet tree of b-bit values, one packed bit array per level."""
-
-    def __init__(self, values, b):
-        vals = np.asarray(values, dtype=np.int64)
-        if b < 1 or b > 20:
-            raise ValueError("bit depth must be in [1..20]")
-        if vals.size and (vals.min() < 0 or vals.max() >= (1 << b)):
-            raise ValueError("value out of range [0..2^%d)" % b)
-        self.b = b
-        self.n = vals.size
-        self.level_bits = []
-        self.level_offsets = []
-        for d in range(b):
-            key = vals >> (b - d)
-            order = np.argsort(key, kind="stable")
-            bits = ((vals[order] >> (b - 1 - d)) & 1).astype(np.uint8)
-            counts = np.bincount(key, minlength=1 << d)
-            offsets = np.zeros((1 << d) + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            self.level_bits.append(bits)
-            self.level_offsets.append(offsets)
-
-    def node(self, label):
-        """Bit contents of the node addressed by a 0/1 label string."""
-        d = len(label)
-        if d >= self.b:
-            raise ValueError("label of length %d has no bitvector" % d)
-        x = 0
-        for c in label:
-            c = int(c)
-            if c not in (0, 1):
-                raise ValueError("label must consist of bits")
-            x = (x << 1) | c
-        off = self.level_offsets[d]
-        return self.level_bits[d][off[x]:off[x + 1]]
-
-
-def build_wavelet_binary(values, b):
-    return BinaryWaveletTree(values, b)
-
-
-def node_bitvector(wt, label):
-    return wt.node(label)
-
-
-class DegreeSigmaWaveletTree:
-    """Degree-sigma wavelet tree over base-sigma digit strings.
-
-    sigma must be a power of two.  Nodes are addressed by the integer
-    value of their digit label; levels store sparse offset tables because
-    the label space is large while only occurring labels have content.
-    """
-
-    def __init__(self, values, sigma, depth):
-        if sigma < 2 or sigma & (sigma - 1):
-            raise ValueError("sigma must be a power of two")
-        vals = np.asarray(values, dtype=np.int64)
-        if depth < 1 or depth * (sigma - 1).bit_length() > 62:
-            raise ValueError("depth out of supported range")
-        if vals.size and (vals.min() < 0 or vals.max() >= sigma ** depth):
-            raise ValueError("value out of range")
-        self.sigma = sigma
-        self.depth = depth
-        self.n = vals.size
-        self.level_digits = []
-        self.level_keys = []
-        self.level_starts = []
-        for d in range(depth):
-            key = vals // (sigma ** (depth - d))
-            order = np.argsort(key, kind="stable")
-            digits = (vals[order] // (sigma ** (depth - 1 - d))) % sigma
-            self.level_digits.append(digits.astype(np.uint16))
-            skey = key[order]
-            uniq, starts = np.unique(skey, return_index=True)
-            self.level_keys.append(uniq)
-            self.level_starts.append(
-                np.concatenate([starts, [vals.size]]).astype(np.int64))
-
-    def node_by_value(self, d, label_value):
-        """Digit contents of the depth-d node with the given label value."""
-        if not 0 <= d < self.depth:
-            raise ValueError("level out of range")
-        keys = self.level_keys[d]
-        pos = np.searchsorted(keys, label_value)
-        if pos == len(keys) or keys[pos] != label_value:
-            return self.level_digits[d][0:0]
-        starts = self.level_starts[d]
-        return self.level_digits[d][starts[pos]:starts[pos + 1]]
-
-    def node(self, label):
-        """Same as node_by_value but addressed by a digit sequence."""
-        x = 0
-        for c in label:
-            c = int(c)
-            if not 0 <= c < self.sigma:
-                raise ValueError("digit out of range")
-            x = x * self.sigma + c
-        return self.node_by_value(len(label), x)
-
-
-def build_wavelet_degree(values, sigma, depth):
-    return DegreeSigmaWaveletTree(values, sigma, depth)
 
 
 def count_inversions_bits(bits):

@@ -108,6 +108,3 @@ def build_suffix_array(seq):
     """
     return SuffixArrayIndex(seq)
 
-
-def lce_in_seq(idx, i, j):
-    return idx.lce(i, j)

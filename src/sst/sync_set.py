@@ -210,10 +210,6 @@ class SyncSet:
         return int(self.positions[r])
 
 
-def succ(s, i):
-    return s.succ(i)
-
-
 def construct_from_ids(pt, tau, ids, psets=None):
     """Evaluate the window-minimum rule for a complete id assignment."""
     n = pt.n

@@ -1,14 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sst.bwt_builder import (augment_sync_set, build_bwt, build_w,
-                             choose_sentinel, count_freq, derive_runs,
-                             invert_bwt, offline_range_count, read_bwt,
-                             write_bwt)
+from sst.bwt_builder import (build_bwt, count_freq, derive_runs, invert_bwt,
+                             offline_range_count, read_bwt, write_bwt)
 from sst.packed_text import extract, pack, substring_period
 from sst.sync_set import construct
-from sst.sync_sort import sort_sync_suffixes
 from sst.reference_oracles import naive_bwt
 
 from conftest import (all_binary_texts, fibonacci_word, full_profile,
@@ -85,36 +84,27 @@ def test_mosaic_texts(rng):
         _check(seq)
 
 
-def test_choose_sentinel_frozen():
-    # at tau=2 a period-1 head already clears 3*per > tau, so 0 works;
-    # at tau=3 the unary prefix forces the opposite symbol
-    assert choose_sentinel(pack([0] * 6, 2), 2) == 0
-    assert choose_sentinel(pack([0] * 6, 2), 3) == 1
-    assert choose_sentinel(pack([1] * 6, 2), 3) == 0
+def _repetitive(rng, n, sigma):
+    base = random_text(rng, rng.randrange(1, 60), sigma)
+    seq = (base * (n // len(base) + 1))[:n]
+    for _ in range(rng.randrange(4)):
+        seq[rng.randrange(n)] = rng.randrange(sigma)
+    return seq
 
 
-def test_choose_sentinel_breaks_periodicity(rng):
-    for _ in range(30):
-        seq = random_text(rng, 40, 4)
-        pt = pack(seq, 4)
-        tau = rng.randrange(1, 10)
-        b = choose_sentinel(pt, tau)
-        head = [b] + seq[:2 * tau - 1]
-        assert 3 * substring_period(pack(head, 4), 1, len(head)) > tau
-
-
-def test_augment_adds_sentinel_context_occurrences(rng):
-    seq = random_text(rng, 200, 2)
-    pt = pack(seq, 2)
-    tau = 3
-    s = construct(pt, tau, mode="fast")
-    b = choose_sentinel(pt, tau)
-    aug = augment_sync_set(pt, tau, s, b)
-    assert set(s.positions) <= set(aug.positions)
-    pattern = [b] + seq[:2 * tau - 1]
-    for i in range(1, len(seq) - 2 * tau + 2):
-        if seq[i - 1:i + 2 * tau - 1] == pattern:
-            assert i in set(aug.positions)
+def test_every_tau_matches_oracle():
+    # every tau the packed pipeline accepts, up to 3 * tau * bits <= 62
+    rng = random.Random(2019)
+    for sigma in (2, 4, 16, 64, 256):
+        bits = (sigma - 1).bit_length()
+        for maker in (random_text, periodic_mosaic, _repetitive) * 2:
+            seq = maker(rng, rng.randrange(200, 3000), sigma)
+            want = naive_bwt(seq)
+            pt = pack(seq, sigma)
+            for tau in range(1, 62 // (3 * bits) + 1):
+                res = build_bwt(pt, tau=tau)
+                assert (list(res.bwt), res.primary_index) == want, \
+                    (sigma, maker.__name__, len(seq), tau)
 
 
 def test_count_freq_matches_counter(rng):
@@ -130,31 +120,6 @@ def test_count_freq_matches_counter(rng):
             assert ft.get(key) == cnt
         assert ft.get(-1) == 0
     assert count_freq(pt, 301).total() == 0
-
-
-def test_build_w_follows_sorted_order(rng):
-    seq = random_text(rng, 150, 2)
-    pt = pack(seq, 2)
-    tau = 3
-    s = construct(pt, tau, mode="fast")
-    b = choose_sentinel(pt, tau)
-    aug = augment_sync_set(pt, tau, s, b)
-    order = sort_sync_suffixes(pt, aug)
-    w = build_w(pt, tau, order, b)
-    assert len(w) == len(aug)
-
-    def sym(k):
-        # text symbol with the sentinel just before position 1
-        if k == 0:
-            return b
-        return seq[k - 1] if k >= 1 else 0
-
-    for t, p in enumerate(order.sorted_positions):
-        window = [sym(int(p) - tau + off) for off in range(3 * tau)]
-        want = 0
-        for c in reversed(window):
-            want = want * 2 + c
-        assert int(w[t]) == want
 
 
 def test_offline_range_count_frozen():
@@ -178,9 +143,7 @@ def test_derive_runs_structure():
     pt = pack(seq, 2)
     tau = 6
     s = construct(pt, tau, mode="fast")
-    b = choose_sentinel(pt, tau)
-    aug = augment_sync_set(pt, tau, s, b)
-    runs, roots = derive_runs(pt, tau, aug)
+    runs, roots = derive_runs(pt, tau, s)
     assert runs
     for run in runs:
         # run start is highly periodic and the root id indexes a
@@ -227,6 +190,7 @@ def test_meta_fields(rng):
     assert res.meta["pipeline"] == "sync"
     assert res.meta["range_count"] == "fenwick"
     assert res.meta["sync_size"] > 0
+    assert res.meta["sync_size"] == len(construct(pack(seq, 4), 3))
 
 
 def test_tiny_text_falls_back():

@@ -1,6 +1,6 @@
 import pytest
 
-from sst.lce_index import LceIndex, build_lce, default_tau, lce_query
+from sst.lce_index import LceIndex, default_tau
 from sst.packed_text import pack
 from sst.reference_oracles import naive_lce
 
@@ -79,8 +79,8 @@ def test_default_tau_monotone_caps():
 
 def test_module_level_helpers(rng):
     seq = random_text(rng, 80, 2)
-    idx = build_lce(pack(seq, 2))
-    assert lce_query(idx, 3, 9) == naive_lce(seq, 3, 9)
+    idx = LceIndex(pack(seq, 2))
+    assert idx.query(3, 9) == naive_lce(seq, 3, 9)
 
 
 def test_large_random_spot_checks(rng):

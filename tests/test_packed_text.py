@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sst.packed_text import (bulk_keys, extract, lcp_fragments, pack,
-                             period_of, reverse_key, substring_period)
+                             period_of, substring_period)
 from sst.reference_oracles import naive_lce, naive_period
 
 from conftest import random_text
@@ -77,19 +77,6 @@ def test_lcp_fragments_matches_naive(rng):
 def test_lcp_fragments_self():
     pt = pack([1, 1, 0, 1], 2)
     assert lcp_fragments(pt, 2, 2, 99) == 3
-
-
-def test_reverse_key(rng):
-    seq = random_text(rng, 40, 8)
-    pt = pack(seq, 8)
-    for _ in range(60):
-        i = rng.randrange(1, 36)
-        ln = rng.randrange(1, 6)
-        rev = reverse_key(extract(pt, i, ln))
-        want = 0
-        for c in reversed(seq[i - 1:i - 1 + ln]):
-            want = want * 8 + c
-        assert rev.value == want and rev.length == ln
 
 
 def test_substring_period_matches_naive(rng):

@@ -3,21 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sst.succinct import (build_rank, build_wavelet_binary,
-                          build_wavelet_degree, count_inversions_bits,
-                          node_bitvector)
-from sst.reference_oracles import naive_wavelet_bitvectors
+from sst.succinct import RankBitvector, count_inversions_bits
 
 
 def test_rank_small():
-    rb = build_rank([1, 0, 1, 1, 0])
+    rb = RankBitvector([1, 0, 1, 1, 0])
     assert [rb.rank1(i) for i in range(6)] == [0, 1, 1, 2, 3, 3]
     assert [rb.rank0(i) for i in range(6)] == [0, 0, 1, 1, 1, 2]
     assert [rb.get(i) for i in range(1, 6)] == [1, 0, 1, 1, 0]
 
 
 def test_rank_bounds():
-    rb = build_rank([1, 0])
+    rb = RankBitvector([1, 0])
     with pytest.raises(IndexError):
         rb.rank1(3)
     with pytest.raises(IndexError):
@@ -26,7 +23,7 @@ def test_rank_bounds():
 
 def test_rank_across_word_boundaries(rng):
     bits = [rng.randrange(2) for _ in range(777)]
-    rb = build_rank(bits)
+    rb = RankBitvector(bits)
     run = 0
     for i, b in enumerate(bits, 1):
         run += b
@@ -37,53 +34,10 @@ def test_rank_across_word_boundaries(rng):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 1), max_size=300))
 def test_rank_property(bits):
-    rb = build_rank(bits)
+    rb = RankBitvector(bits)
     pref = np.cumsum([0] + bits)
     for i in (0, len(bits) // 2, len(bits)):
         assert rb.rank1(i) == pref[i]
-
-
-def test_wavelet_binary_matches_naive(rng):
-    for b in (1, 2, 4, 7):
-        vals = [rng.randrange(1 << b) for _ in range(120)]
-        wt = build_wavelet_binary(vals, b)
-        for label, bits in naive_wavelet_bitvectors(vals, b).items():
-            assert list(node_bitvector(wt, label)) == bits
-
-
-def test_wavelet_binary_rejects_bad_values():
-    with pytest.raises(ValueError):
-        build_wavelet_binary([4], 2)
-    with pytest.raises(ValueError):
-        build_wavelet_binary([0], 0)
-
-
-def test_wavelet_binary_leaf_label_rejected():
-    wt = build_wavelet_binary([0, 1], 1)
-    with pytest.raises(ValueError):
-        wt.node("0")
-
-
-def test_wavelet_degree_nodes(rng):
-    # depth-d node of value v holds the d-th digits of entries whose
-    # top d digits equal v, in original order
-    sigma, depth = 4, 3
-    vals = [rng.randrange(sigma ** depth) for _ in range(200)]
-    wt = build_wavelet_degree(vals, sigma, depth)
-    for d in range(depth):
-        seen = {}
-        for v in vals:
-            key = v // sigma ** (depth - d)
-            seen.setdefault(key, []).append(v // sigma ** (depth - 1 - d)
-                                            % sigma)
-        for key, want in seen.items():
-            assert list(wt.node_by_value(d, key)) == want
-        assert len(wt.node_by_value(d, sigma ** depth)) == 0
-
-
-def test_wavelet_degree_requires_power_of_two():
-    with pytest.raises(ValueError):
-        build_wavelet_degree([0], 3, 1)
 
 
 def test_count_inversions_bits_frozen():

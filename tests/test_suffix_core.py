@@ -1,6 +1,6 @@
 import pytest
 
-from sst.suffix_core import SuffixArrayIndex, build_suffix_array, lce_in_seq
+from sst.suffix_core import SuffixArrayIndex, build_suffix_array
 from sst.reference_oracles import (doubling_suffix_array, naive_lce,
                                    naive_suffix_array)
 
@@ -54,7 +54,7 @@ def test_lce_all_pairs(rng):
         idx = SuffixArrayIndex(seq)
         for i in range(1, 71):
             for j in range(1, 71):
-                assert lce_in_seq(idx, i, j) == naive_lce(seq, i, j)
+                assert idx.lce(i, j) == naive_lce(seq, i, j)
 
 
 def test_lce_identical_suffix():

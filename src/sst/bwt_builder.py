@@ -1,11 +1,13 @@
 """Burrows-Wheeler transform built from a synchronizing set.
 
 The pipeline compares whole suffixes only at synchronizing positions: it
-sorts those suffixes through the reduced string.  Every other suffix
-T[i..] sorts first by its window T[i..i+3tau-1), cut at the text end,
-then by the window length.  By consistency, positions that share a full
-prefix T[i..succ(i)+2tau) with succ(i) less than tau ahead share the
-offset succ(i) - i, so the rank of succ(i) among the sorted
+sorts those suffixes through the reduced string.  The set is the
+randomized construction with seed 0, which is valid for every seed and
+the same on every run; meta["sync_size"] is its size.  Every other
+suffix T[i..] sorts first by its window T[i..i+3tau-1), cut at the text
+end, then by the window length.  By consistency, positions that share a
+full prefix T[i..succ(i)+2tau) with succ(i) less than tau ahead share
+the offset succ(i) - i, so the rank of succ(i) among the sorted
 synchronizing suffixes breaks their ties.  One sort of all n positions
 on (window, length, rank) thus emits the transform.  A position with no
 synchronizing position within tau ahead either starts a short suffix at
@@ -328,14 +330,12 @@ def correct_periodic(pt, tau, runs, bwt, bases, roots, lce):
             rprime[g] += t[4] - _ramp_sum(t, int(kk[g]) + 1)
             rprime[g] += tabs(-1, neg, int(dlt[g]))[4]
 
-    bits = pt.bits_per_symbol
-    leaf_keys = bulk_keys(pt, cap) if cap * bits <= 62 else None
+    if cap * pt.bits_per_symbol > 62:
+        raise AssertionError("periodic block labels wider than one key")
+    leaf_keys = bulk_keys(pt, cap)
     primary_slot = None
     for i, r in enumerate(runs):
-        if leaf_keys is not None:
-            key = int(leaf_keys[r.j - 1])
-        else:
-            key = extract(pt, r.j, cap).value
+        key = int(leaf_keys[r.j - 1])
         if key not in bases:
             raise AssertionError("no block recorded for run at %d" % r.j)
         slot = bases[key] + int(rprime[i])
@@ -375,7 +375,7 @@ def build_bwt(pt, tau=None, force_naive=False):
         raise ValueError("tau must be positive")
     if force_naive or n < 3 * tau - 1 or 3 * tau * pt.bits_per_symbol > 62:
         return _naive_result(pt, tau)
-    s = construct(pt, tau, mode="fast")
+    s = construct(pt, tau, mode="random", seed=0)
     order = sort_sync_suffixes(pt, s)
     bwt, bases, primary = _emit_blocks(pt, tau, s, order)
     runs, roots = derive_runs(pt, tau, s)

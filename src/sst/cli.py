@@ -227,6 +227,8 @@ def cmd_bench(args):
         tasks = [
             ("sync_construct_fast",
              lambda pt=pt, tau=tau: construct(pt, tau, mode="fast")),
+            ("sync_construct_random",
+             lambda pt=pt, tau=tau: construct(pt, tau, mode="random")),
             ("lce_build", lambda pt=pt: LceIndex(pt)),
             ("build_bwt_sync", lambda pt=pt: build_bwt(pt)),
             ("build_bwt_naive",

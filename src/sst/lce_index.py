@@ -2,18 +2,19 @@
 
 The index stores the packed text, a synchronizing set with rank support,
 and a suffix-array index of the reduced string over the synchronizing
-positions.  A query compares at most 3tau packed symbols directly, hops
-to the successors inside the synchronizing set, translates the remaining
-work to one LCE query in the reduced string, and finishes with another
-bounded packed comparison.  Highly periodic stretches never contain
-synchronizing positions; the successor offsets alone determine the
-answer there.
+positions.  The set is the randomized construction with seed 0: valid
+for every seed, fully vectorised, and the same on every run.  A query
+compares at most 3tau packed symbols directly, hops to the successors
+inside the synchronizing set, translates the remaining work to one LCE
+query in the reduced string, and finishes with another bounded packed
+comparison.  Highly periodic stretches never contain synchronizing
+positions; the successor offsets alone determine the answer there.
 """
 
 import math
 
 from .packed_text import lcp_fragments
-from .sync_set import construct_packed_fast
+from .sync_set import construct
 from .sync_sort import sort_sync_suffixes
 
 
@@ -46,9 +47,11 @@ class LceIndex:
             self.order = None
             self._pos = []
             return
-        self.sync = sync if sync is not None else construct_packed_fast(pt, tau)
+        self.sync = sync if sync is not None else construct(
+            pt, tau, mode="random", seed=0)
         self.order = order if order is not None else sort_sync_suffixes(
             pt, self.sync)
+        self.order.suffix_index.prepare_lce()
         self._rank1 = self.sync.rank_structure().rank1
         self._pos = self.sync.positions.tolist()
 

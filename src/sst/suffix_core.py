@@ -10,9 +10,10 @@ import numpy as np
 
 
 class SuffixArrayIndex:
-    """Suffix array, inverse, LCP array and a sparse-table minimum."""
+    """Suffix array and inverse; the LCP array and its sparse-table
+    minimum are built on first use, or at once by prepare_lce."""
 
-    __slots__ = ("n", "sa", "isa", "lcp", "_rmq")
+    __slots__ = ("n", "sa", "isa", "_seq", "_lcp", "_rmq")
 
     def __init__(self, seq):
         if isinstance(seq, str):
@@ -20,11 +21,12 @@ class SuffixArrayIndex:
         arr = np.asarray(seq, dtype=np.int64)
         n = arr.size
         self.n = n
+        self._seq = arr
+        self._lcp = None
+        self._rmq = None
         if n == 0:
             self.sa = np.zeros(0, dtype=np.int64)
             self.isa = np.zeros(0, dtype=np.int64)
-            self.lcp = np.zeros(0, dtype=np.int64)
-            self._rmq = []
             return
         rank = np.unique(arr, return_inverse=True)[1].astype(np.int64)
         k = 1
@@ -42,8 +44,19 @@ class SuffixArrayIndex:
         sa0[rank] = np.arange(n)
         self.sa = sa0 + 1
         self.isa = rank + 1
-        self.lcp = _kasai(arr, sa0, rank)
-        self._rmq = _build_sparse_min(self.lcp)
+
+    @property
+    def lcp(self):
+        """lcp[r]: common prefix of the suffixes of ranks r+1 and r+2."""
+        if self._lcp is None:
+            self._lcp = _kasai(self._seq, self.sa - 1, self.isa - 1)
+            self._seq = None
+        return self._lcp
+
+    def prepare_lce(self):
+        """Build the LCP array and its range-minimum table now."""
+        if self._rmq is None:
+            self._rmq = _build_sparse_min(self.lcp)
 
     def lce(self, i, j):
         """Longest common extension of the suffixes at 1-based i and j."""
@@ -56,6 +69,8 @@ class SuffixArrayIndex:
         b = int(self.isa[j - 1]) - 1
         if a > b:
             a, b = b, a
+        if self._rmq is None:
+            self.prepare_lce()
         return _range_min(self._rmq, a, b)
 
 

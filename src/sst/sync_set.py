@@ -52,45 +52,30 @@ class PeriodicSets:
 
 
 def compute_q_and_b(pt, tau):
-    """Block-by-block construction of Q and B.
+    """Q and B from one cumulative count of T[k] == T[k+p] per period p.
 
-    Each block of up to ceil(tau/3) positions shares the fragment x just
-    right of it; if per(x) is small, the maximal extension of that
-    periodicity pins down exactly which block positions are in Q, and B
-    picks up at most the two positions hugging the extension.
+    A window of length L has period at most p exactly when all of its
+    L - p equalities T[k] == T[k+p] hold, so for each p <= tau/3 a
+    difference of prefix counts tests every window start at once: the
+    length-tau windows for Q, the length-(tau-1) windows at i and i+1
+    for B.
     """
     n = pt.n
     if tau < 1:
         raise ValueError("tau must be positive")
     nwin = max(n - tau + 1, 0)
     q = np.zeros(nwin, dtype=bool)
-    b = np.zeros(nwin, dtype=bool)
     if tau <= 2 or nwin == 0:
-        return PeriodicSets(tau, n, q, b)
+        return PeriodicSets(tau, n, q, q.copy())
     s = pt.symbols
-    bsize = (tau + 2) // 3
-    for i in range(1, nwin + 1, bsize):
-        blen = min(bsize, nwin - i + 1)
-        p = substring_period(pt, i + blen, tau - 1 - blen)
-        if 3 * p > tau:
-            continue
-        lo = i + blen
-        while lo > i and s[lo - 2] == s[lo - 2 + p]:
-            lo -= 1
-        hi = i + tau - 2
-        hi_cap = i + blen + tau - 2
-        while hi < hi_cap and s[hi] == s[hi - p]:
-            hi += 1
-        if hi - lo + 1 < tau - 1:
-            continue
-        qlo = max(i, lo)
-        qhi = min(i + blen - 1, hi - tau + 1)
-        if qlo <= qhi:
-            q[qlo - 1:qhi] = True
-        for cand in (lo - 1, hi - tau + 2):
-            if i <= cand <= i + blen - 1:
-                b[cand - 1] = True
-    b &= ~q
+    short = np.zeros(nwin + 1, dtype=bool)
+    csum = np.zeros(n, dtype=np.int32)
+    for p in range(1, tau // 3 + 1):
+        np.cumsum(s[p:] == s[:-p], out=csum[1:n - p + 1])
+        q |= csum[tau - p:tau - p + nwin] - csum[:nwin] == tau - p
+        short |= csum[tau - 1 - p:tau - p + nwin] - csum[:nwin + 1] \
+            == tau - 1 - p
+    b = (short[:-1] | short[1:]) & ~q
     return PeriodicSets(tau, n, q, b)
 
 

@@ -1,18 +1,18 @@
 """Sorting the suffixes that start at synchronizing positions.
 
 Each synchronizing position contributes one symbol of a reduced string:
-the fragment of length up to 3tau starting there, padded so that equal
-integer order means equal lexicographic order, plus a tie-breaking
-integer d that accounts for long highly periodic runs.  Sorting the
-suffixes of the reduced string then sorts the original suffixes at the
-synchronizing positions.
+the fragment of length up to 3tau starting there, ordered by its
+symbols zero-padded past the text end and then by its length, plus a
+tie-breaking integer d that accounts for long highly periodic runs.
+Sorting the suffixes of the reduced string then sorts the original
+suffixes at the synchronizing positions.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .packed_text import extract, substring_period
+from .packed_text import substring_period
 from .suffix_core import SuffixArrayIndex, build_suffix_array
 
 
@@ -32,13 +32,6 @@ class TPrimeString:
 
     def __len__(self):
         return len(self.symbols)
-
-
-def _padded_value(key_value, length, tau, sigma):
-    """Integer of the fragment padded with zeros then ones to 6tau digits."""
-    zeros = 6 * tau - 2 * length
-    ones = (sigma ** length - 1) // (sigma - 1)
-    return key_value * sigma ** (zeros + length) + ones
 
 
 def compute_d_values(pt, tau, positions):
@@ -68,42 +61,52 @@ def compute_d_values(pt, tau, positions):
 
 
 def build_tprime(pt, s):
-    """Encode the reduced string for a synchronizing set."""
+    """Encode the reduced string for a synchronizing set.
+
+    Members rank by the fragment T[i..i+3tau) zero-padded past the text
+    end, then by the fragment length, then by d; equal triples share a
+    symbol.  The three are packed as bit fields, most significant first,
+    into as few columns of at most 62 bits as they need, so one sort
+    over the columns covers every tau and alphabet.
+    """
     n, tau = pt.n, s.tau
     sp = np.asarray(s.positions, dtype=np.int64)
     m = len(sp)
-    sigma = pt.sigma
     d = compute_d_values(pt, tau, sp)
     if m == 0:
         return TPrimeString(tau, n, sp, np.zeros(0, dtype=np.int64), d)
-    bits = pt.bits_per_symbol
-    mod = 2 * n + 3
-    if 6 * tau * bits + int(mod).bit_length() <= 62:
-        sym = pt.symbols.astype(np.int64)
-        full = sp <= n - 3 * tau + 1
-        keys = np.zeros(m, dtype=np.int64)
-        fp = sp[full] - 1
-        acc = np.zeros(len(fp), dtype=np.int64)
-        for t in range(3 * tau):
-            acc = acc * sigma + sym[fp + t]
-        keys[full] = _padded_value(0, 3 * tau, tau, sigma) \
-            + acc * sigma ** (3 * tau)
-        for i in np.nonzero(~full)[0]:
-            ln = n - int(sp[i]) + 1
-            kv = extract(pt, int(sp[i]), ln).value
-            keys[i] = _padded_value(kv, ln, tau, sigma)
-        encoded = keys * mod + (d + n + 1)
-        _, reduced = np.unique(encoded, return_inverse=True)
+    width = 3 * tau
+    sym = np.concatenate([pt.symbols.astype(np.int64),
+                          np.zeros(width, dtype=np.int64)])
+
+    def fields():
+        for t in range(width):
+            yield sym[sp - 1 + t], pt.bits_per_symbol
+        yield np.minimum(width, n + 1 - sp), width.bit_length()
+        yield d + n, (2 * n).bit_length()
+
+    cols = [np.zeros(m, dtype=np.int64)]
+    used = 0
+    for vals, bits in fields():
+        if used + bits > 62:
+            cols.append(np.zeros(m, dtype=np.int64))
+            used = 0
+        cols[-1] <<= bits
+        cols[-1] |= vals
+        used += bits
+    # ranks need no stable order; one key sorts several times faster
+    # with argsort than with lexsort
+    if len(cols) == 1:
+        order = np.argsort(cols[0])
     else:
-        encoded = []
-        for i in range(m):
-            ln = min(3 * tau, n - int(sp[i]) + 1)
-            kv = extract(pt, int(sp[i]), ln).value
-            encoded.append(_padded_value(kv, ln, tau, sigma) * mod
-                           + int(d[i]) + n + 1)
-        ranks = {v: r for r, v in enumerate(sorted(set(encoded)))}
-        reduced = np.array([ranks[v] for v in encoded], dtype=np.int64)
-    return TPrimeString(tau, n, sp, reduced.astype(np.int64), d)
+        order = np.lexsort(cols[::-1])
+    new_sym = np.zeros(m, dtype=bool)
+    for col in cols:
+        ks = col[order]
+        new_sym[1:] |= ks[1:] != ks[:-1]
+    reduced = np.empty(m, dtype=np.int64)
+    reduced[order] = np.cumsum(new_sym)
+    return TPrimeString(tau, n, sp, reduced, d)
 
 
 @dataclass

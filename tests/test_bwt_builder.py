@@ -190,7 +190,8 @@ def test_meta_fields(rng):
     assert res.meta["pipeline"] == "sync"
     assert res.meta["range_count"] == "fenwick"
     assert res.meta["sync_size"] > 0
-    assert res.meta["sync_size"] == len(construct(pack(seq, 4), 3))
+    assert res.meta["sync_size"] == len(
+        construct(pack(seq, 4), 3, mode="random", seed=0))
 
 
 def test_tiny_text_falls_back():

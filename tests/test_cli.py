@@ -158,7 +158,7 @@ def test_bench_json(tmp_path, capsys):
     assert status == 0
     rows = json.loads(out)
     tasks = {r["task"] for r in rows}
-    assert {"build_bwt_sync", "build_bwt_naive",
+    assert {"build_bwt_sync", "build_bwt_naive", "sync_construct_random",
             "naive_over_sync_ratio"} <= tasks
     assert all(r["n"] == 4096 for r in rows)
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sst.lce_index import LceIndex, default_tau
@@ -38,6 +40,20 @@ def test_structured_texts(rng):
     _check_all_pairs([0, 1] * 40, tau=6)
     _check_all_pairs([0] * 70, tau=8)
     _check_all_pairs(periodic_mosaic(rng, 120, 2), tau=5)
+
+
+def test_mosaic_tau8_all_pairs():
+    # sigma**(5 tau) > n: the packed deterministic construction would not
+    # apply here, and 6tau*bits > 62 for the reduced string
+    seq = periodic_mosaic(random.Random(8), 200, 4)
+    _check_all_pairs(seq, tau=8)
+
+
+def test_fragments_beyond_key_capacity(rng):
+    # 3tau symbols exceed what one substring key holds
+    for sigma, tau in ((4, 25), (256, 6)):
+        seq = periodic_mosaic(rng, 160, sigma)
+        _check_all_pairs(seq, tau=tau)
 
 
 def test_unary_frozen():

@@ -48,6 +48,17 @@ def test_lcp_array_definition(rng):
                                        int(idx.sa[r + 1]))
 
 
+def test_lazy_lcp_matches_naive_lce(rng):
+    for sigma in (2, 4, 256):
+        seq = random_text(rng, 150, sigma)
+        idx = SuffixArrayIndex(seq)
+        assert idx._lcp is None and idx._rmq is None
+        for r in range(len(seq) - 1):
+            assert idx.lcp[r] == naive_lce(seq, int(idx.sa[r]),
+                                           int(idx.sa[r + 1]))
+        assert idx.lce(3, 77) == naive_lce(seq, 3, 77)
+
+
 def test_lce_all_pairs(rng):
     for sigma in (2, 4):
         seq = random_text(rng, 70, sigma)

@@ -9,7 +9,8 @@ from sst.sync_set import (SyncSet, compute_q_and_b, construct,
                           validate_sync_set)
 from sst.reference_oracles import naive_b_positions, naive_q_positions
 
-from conftest import all_binary_texts, full_profile, random_text
+from conftest import (all_binary_texts, full_profile, periodic_mosaic,
+                      random_text)
 
 
 def _modes(pt, tau, seeds=(0, 1)):
@@ -85,6 +86,25 @@ def test_q_and_b_match_oracles(rng):
         psets = compute_q_and_b(pt, tau)
         assert list(psets.q_positions) == naive_q_positions(seq, tau)
         assert list(psets.b_positions) == naive_b_positions(seq, tau)
+
+
+def test_q_and_b_match_oracles_on_mosaics(rng):
+    # runs of period 1-4 make Q and B non-empty, unlike random texts
+    nonempty = 0
+    for sigma in (2, 4, 16):
+        for _ in range(20):
+            n = rng.randrange(30, 250)
+            seq = periodic_mosaic(rng, n, sigma)
+            pt = pack(seq, sigma)
+            tau = rng.randrange(3, 31)
+            if tau > n:
+                continue
+            psets = compute_q_and_b(pt, tau)
+            q = naive_q_positions(seq, tau)
+            assert list(psets.q_positions) == q, (sigma, tau)
+            assert list(psets.b_positions) == naive_b_positions(seq, tau)
+            nonempty += bool(q)
+    assert nonempty >= 20
 
 
 def test_unary_text_gives_empty_set():

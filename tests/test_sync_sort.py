@@ -3,10 +3,12 @@ import pytest
 
 from sst.packed_text import pack
 from sst.suffix_core import SuffixArrayIndex
-from sst.sync_set import SyncSet, construct_deterministic
+from sst.sync_set import (SyncSet, construct_deterministic,
+                          construct_randomized)
 from sst.sync_sort import build_tprime, compute_d_values, sort_sync_suffixes
 
-from conftest import all_binary_texts, full_profile, random_text
+from conftest import (all_binary_texts, full_profile, periodic_mosaic,
+                      random_text)
 
 
 def _check_order(seq, tau):
@@ -101,3 +103,42 @@ def test_rejects_uncovered_gap():
     bad = SyncSet(2, len(seq), np.array([1], dtype=np.int64))
     with pytest.raises(AssertionError):
         compute_d_values(pt, 2, bad.positions)
+
+
+def _big_int_symbols(seq, sigma, positions, d, tau):
+    # each member as one integer: its fragment of up to 3tau symbols,
+    # 6tau - 2*len zeros, len ones, then d; equal integers share a rank
+    n = len(seq)
+    mod = 2 * n + 3
+    enc = []
+    for p, dv in zip(positions, d):
+        frag = seq[p - 1:p - 1 + 3 * tau]
+        digits = frag + [0] * (6 * tau - 2 * len(frag)) + [1] * len(frag)
+        v = 0
+        for c in digits:
+            v = v * sigma + c
+        enc.append(v * mod + int(dv) + n + 1)
+    ranks = {v: r for r, v in enumerate(sorted(set(enc)))}
+    return [ranks[v] for v in enc]
+
+
+def _zero_padded_twin(rng, n, sigma, tau):
+    # x 0^(3tau) x: fragments cut at the text end equal their twins in
+    # the first copy once zero-padded, so only the length tells them apart
+    x = random_text(rng, (n - 3 * tau) // 2, sigma)
+    return x + [0] * (3 * tau) + x
+
+
+def test_tprime_matches_big_int_encoding(rng):
+    # 6tau*bits > 62 in every case, too wide for one padded integer; the
+    # packed fields need one column or two, depending on sigma, tau and n
+    for sigma, tau in ((4, 8), (2, 11), (2, 16), (2, 25), (256, 3)):
+        n = rng.randrange(8 * tau, 600)
+        for seq in (random_text(rng, n, sigma), periodic_mosaic(rng, n, sigma),
+                    _zero_padded_twin(rng, n, sigma, tau)):
+            pt = pack(seq, sigma)
+            s = construct_randomized(pt, tau, seed=1)
+            tp = build_tprime(pt, s)
+            want = _big_int_symbols(seq, sigma, list(s.positions),
+                                    tp.d_values, tau)
+            assert list(tp.symbols) == want, (sigma, tau)

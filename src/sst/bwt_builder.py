@@ -19,13 +19,12 @@ suffix-array fallback covers inputs too small or too wide for the packed
 pipeline.
 """
 
-from collections import Counter
 from functools import cmp_to_key
 
 import numpy as np
 
 from .lce_index import LceIndex, default_tau
-from .packed_text import bulk_keys, extract, substring_period
+from .packed_text import bulk_keys, pack_columns, sort_rows, substring_period
 from .suffix_core import SuffixArrayIndex
 from .sync_set import construct
 from .sync_sort import sort_sync_suffixes
@@ -83,20 +82,14 @@ class FreqTable:
 
 
 def count_freq(pt, ell):
-    """Frequency table of all length-ell substrings of the text."""
+    """Frequency table of the length-ell substrings; ell * bits <= 62."""
     if ell < 1:
         raise ValueError("length must be positive")
     if ell > pt.n:
         return FreqTable(ell, np.zeros(0, dtype=np.int64),
                          np.zeros(0, dtype=np.int64))
-    if ell * pt.bits_per_symbol <= 62:
-        u, c = np.unique(bulk_keys(pt, ell), return_counts=True)
-        return FreqTable(ell, u, c.astype(np.int64))
-    ctr = Counter(extract(pt, i, ell).value
-                  for i in range(1, pt.n - ell + 2))
-    u = np.array(sorted(ctr), dtype=object)
-    c = np.array([ctr[v] for v in u], dtype=np.int64)
-    return FreqTable(ell, u, c)
+    u, c = np.unique(bulk_keys(pt, ell), return_counts=True)
+    return FreqTable(ell, u, c.astype(np.int64))
 
 
 def _sort_keys(pt, tau, s, order):
@@ -107,12 +100,10 @@ def _sort_keys(pt, tau, s, order):
     sorted synchronizing suffixes when succ(i) lies less than tau ahead,
     and 0 otherwise.
     """
-    n, sigma = pt.n, pt.sigma
+    n = pt.n
     cap = 3 * tau - 1
-    key = np.zeros(n, dtype=np.int64)
-    for t in range(cap):
-        key *= sigma
-        key[:n - t] += pt.symbols[t:]
+    sym = np.concatenate([pt.symbols, np.zeros(cap, dtype=np.int64)])
+    key = pack_columns(((sym[t:t + n], pt.sigma) for t in range(cap)), n)[0]
     pos = np.arange(1, n + 1, dtype=np.int64)
     k = np.searchsorted(s.positions, pos)
     # past the last member the successor reads as n + tau, never near
@@ -131,7 +122,10 @@ def _emit_blocks(pt, tau, s, order):
     sigma = pt.sigma
     cap = 3 * tau - 1
     key, length, tie = _sort_keys(pt, tau, s, order)
-    sa0 = np.lexsort((tie, length, key))
+    # rows tie only inside periodic blocks, whose slots are refilled with
+    # the period symbol and then patched, so the sort need not be stable
+    sa0 = sort_rows(pack_columns(
+        [(key, sigma ** cap), (length, cap + 1), (tie, len(s) + 1)], pt.n))
     bwt = pt.symbols[sa0 - 1].astype(np.int64)
 
     # far from every member, a full window is highly periodic (density):
@@ -332,10 +326,13 @@ def correct_periodic(pt, tau, runs, bwt, bases, roots, lce):
 
     if cap * pt.bits_per_symbol > 62:
         raise AssertionError("periodic block labels wider than one key")
-    leaf_keys = bulk_keys(pt, cap)
+    # a run start's window is full: the run covers 3tau-1 symbols from it
+    j0 = np.array([r.j - 1 for r in runs], dtype=np.int64)
+    leaf_keys = pack_columns(
+        ((pt.symbols[j0 + t], pt.sigma) for t in range(cap)), m)[0]
     primary_slot = None
     for i, r in enumerate(runs):
-        key = int(leaf_keys[r.j - 1])
+        key = int(leaf_keys[i])
         if key not in bases:
             raise AssertionError("no block recorded for run at %d" % r.j)
         slot = bases[key] + int(rprime[i])
@@ -455,9 +452,16 @@ def read_bwt(path, meta_path):
             except ValueError:
                 meta[key] = val
     for key in ("n", "sigma", "primary_index"):
-        if key not in meta:
-            raise ValueError("metadata missing %r" % key)
-    data = np.frombuffer(open(path, "rb").read(), dtype=np.uint8)
+        if not isinstance(meta.get(key), int):
+            raise ValueError("metadata needs an integer %r" % key)
+    with open(path, "rb") as fh:
+        data = np.frombuffer(fh.read(), dtype=np.uint8)
     if len(data) != meta["n"]:
         raise ValueError("payload length disagrees with metadata")
+    if not 1 <= meta["primary_index"] <= meta["n"]:
+        raise ValueError("primary index %d outside [1..%d]"
+                         % (meta["primary_index"], meta["n"]))
+    if len(data) and int(data.max()) >= meta["sigma"]:
+        raise ValueError("payload symbol %d outside the alphabet [0..%d)"
+                         % (int(data.max()), meta["sigma"]))
     return BwtResult(np.array(data), meta["primary_index"], meta)

@@ -110,16 +110,6 @@ class SubstringKey:
         self._check(other)
         return self.value <= other.value
 
-    def to_symbols(self):
-        """Decode back to the symbol sequence (first symbol first)."""
-        out = []
-        v = self.value
-        for _ in range(self.length):
-            v, d = divmod(v, self.sigma)
-            out.append(d)
-        out.reverse()
-        return out
-
 
 def extract(pt, i, length):
     """Key of T[i..i+length), most significant digit first.
@@ -223,8 +213,8 @@ def period_of(seq):
 def bulk_keys(pt, length, start=1, stop=None):
     """int64 array of keys of T[p..p+length) for p = start .. stop.
 
-    Vectorised Horner evaluation; only valid while length * bits <= 62.
-    Returned array index 0 corresponds to position `start`.
+    Only valid while length * bits <= 62.  Returned array index 0
+    corresponds to position `start`.
     """
     if stop is None:
         stop = pt.n - length + 1
@@ -234,11 +224,55 @@ def bulk_keys(pt, length, start=1, stop=None):
         return np.zeros(0, dtype=np.int64)
     if start < 1 or stop + length - 1 > pt.n:
         raise IndexError("range out of bounds")
-    sym = pt.symbols.astype(np.int64)
     count = stop - start + 1
-    keys = np.zeros(count, dtype=np.int64)
-    base = start - 1
-    for t in range(length):
-        keys *= pt.sigma
-        keys += sym[base + t:base + t + count]
-    return keys
+    sym = pt.symbols[start - 1:stop + length - 1].astype(np.int64)
+    return pack_columns(((sym[t:t + count], pt.sigma)
+                         for t in range(length)), count)[0]
+
+
+def pack_columns(fields, count):
+    """Mixed-radix keys of `count` rows as a list of int64 columns.
+
+    fields yields (values, radix) pairs, most significant first, with
+    0 <= values < radix.  Consecutive fields share a column while the
+    product of their radices stays at most 2**62, so the columns compare
+    lexicographically exactly like the field tuples, and a column of
+    symbol fields alone is the base-sigma key that extract returns.
+
+    >>> [c.tolist() for c in pack_columns([([1, 0], 2), ([2, 1], 3)], 2)]
+    [[5, 1]]
+    >>> len(pack_columns([(0, 1 << 40), (0, 1 << 40)], 3))
+    2
+    """
+    cols = [np.zeros(count, dtype=np.int64)]
+    span = 1
+    for vals, radix in fields:
+        if span * radix > 1 << 62:
+            cols.append(np.zeros(count, dtype=np.int64))
+            span = 1
+        cols[-1] *= radix
+        cols[-1] += vals
+        span *= radix
+    return cols
+
+
+def sort_rows(cols):
+    """Row order of packed columns, first column most significant; equal
+    rows come in any order, since argsort beats lexsort on one column."""
+    return np.argsort(cols[0]) if len(cols) == 1 else np.lexsort(cols[::-1])
+
+
+def dense_ranks(cols):
+    """Dense 0-based ranks of the rows of packed columns.
+
+    >>> dense_ranks([np.array([7, 3, 7, 5])]).tolist()
+    [2, 0, 2, 1]
+    """
+    order = sort_rows(cols)
+    new = np.zeros(len(order), dtype=bool)
+    for col in cols:
+        ks = col[order]
+        new[1:] |= ks[1:] != ks[:-1]
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.cumsum(new)
+    return ranks

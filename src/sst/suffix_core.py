@@ -8,6 +8,8 @@ below every real rank.
 
 import numpy as np
 
+from .packed_text import dense_ranks, pack_columns
+
 
 class SuffixArrayIndex:
     """Suffix array and inverse; the LCP array and its sparse-table
@@ -28,17 +30,12 @@ class SuffixArrayIndex:
             self.sa = np.zeros(0, dtype=np.int64)
             self.isa = np.zeros(0, dtype=np.int64)
             return
-        rank = np.unique(arr, return_inverse=True)[1].astype(np.int64)
+        rank = dense_ranks([arr])
         k = 1
         while int(rank.max()) < n - 1:
-            key2 = np.full(n, -1, dtype=np.int64)
-            key2[:n - k] = rank[k:]
-            order = np.lexsort((key2, rank))
-            r1, r2 = rank[order], key2[order]
-            bump = np.zeros(n, dtype=np.int64)
-            bump[1:] = (r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])
-            rank = np.empty(n, dtype=np.int64)
-            rank[order] = np.cumsum(bump)
+            nxt = np.zeros(n, dtype=np.int64)
+            nxt[:n - k] = rank[k:] + 1
+            rank = dense_ranks(pack_columns([(rank, n), (nxt, n + 1)], n))
             k *= 2
         sa0 = np.empty(n, dtype=np.int64)
         sa0[rank] = np.arange(n)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .packed_text import bulk_keys, extract, substring_period
+from .packed_text import dense_ranks, pack_columns, substring_period
 from .succinct import RankBitvector
 from .suffix_core import SuffixArrayIndex
 
@@ -96,16 +96,14 @@ def r_mask(psets):
 class IdAssignment:
     """Partition of window starts into substring classes plus their ids.
 
-    Class indices are ranks of the underlying substrings in ascending
-    key order, so the canonical processing orders are simply ascending
-    class index.  class_keys holds one packed key per class, or None
-    when the window does not fit in a single key.
+    Class indices are dense ranks of the underlying substrings in
+    ascending lexicographic order, so the canonical processing orders
+    are simply ascending class index.
     """
 
     tau: int
     n: int
     class_of: np.ndarray
-    class_keys: np.ndarray
     id_of_class: np.ndarray
 
     @property
@@ -120,31 +118,27 @@ class IdAssignment:
 
 def _fragment_classes(pt, length, count):
     """Ascending-lexicographic class ids of the length-`length` fragments
-    at starts 1..count, plus their packed keys when one key fits.
+    at starts 1..count.
 
-    Equal fragments share a class either way; beyond the single-key
-    capacity the classes come from cutting suffix order wherever the
-    common prefix of neighbouring suffixes drops below the length.
+    Up to the key capacity the fragments are packed into one to three
+    int64 columns and ranked; beyond it the classes come from cutting
+    suffix order wherever the common prefix of neighbouring suffixes
+    drops below the length.  Equal fragments share a class either way.
     """
-    if length * pt.bits_per_symbol <= 62:
-        keys = bulk_keys(pt, length, stop=count)
-    elif length <= pt.key_cap:
-        keys = np.array(
-            [extract(pt, i, length).value for i in range(1, count + 1)],
-            dtype=object)
-    else:
-        idx = SuffixArrayIndex(pt.symbols)
-        mask = idx.sa <= count
-        order = idx.sa[mask]
-        inv = np.zeros(count, dtype=np.int64)
-        if len(order) > 1:
-            ranks = np.nonzero(mask)[0]
-            lcp_pad = np.concatenate([idx.lcp, [0]])
-            mins = np.minimum.reduceat(lcp_pad, ranks)[:-1]
-            inv[order - 1] = np.concatenate([[0], np.cumsum(mins < length)])
-        return inv, None
-    uniq, inv = np.unique(keys, return_inverse=True)
-    return inv.astype(np.int64), uniq
+    if length <= pt.key_cap:
+        sym = pt.symbols.astype(np.int64)
+        return dense_ranks(pack_columns(
+            ((sym[t:t + count], pt.sigma) for t in range(length)), count))
+    idx = SuffixArrayIndex(pt.symbols)
+    mask = idx.sa <= count
+    order = idx.sa[mask]
+    inv = np.zeros(count, dtype=np.int64)
+    if len(order) > 1:
+        ranks = np.nonzero(mask)[0]
+        lcp_pad = np.concatenate([idx.lcp, [0]])
+        mins = np.minimum.reduceat(lcp_pad, ranks)[:-1]
+        inv[order - 1] = np.concatenate([[0], np.cumsum(mins < length)])
+    return inv
 
 
 def build_partition(pt, tau):
@@ -152,10 +146,10 @@ def build_partition(pt, tau):
     if not 1 <= tau <= n:
         raise ValueError("tau out of range")
     nwin = n - tau + 1
-    class_of, class_keys = _fragment_classes(pt, tau, nwin)
+    class_of = _fragment_classes(pt, tau, nwin)
     nc = int(class_of.max()) + 1 if nwin else 0
     ids = np.full(nc, _UNSET, dtype=np.int64)
-    return IdAssignment(tau, n, class_of, class_keys, ids)
+    return IdAssignment(tau, n, class_of, ids)
 
 
 @dataclass
@@ -395,10 +389,8 @@ def construct_packed_fast(pt, tau, psets=None):
     nblocks = -(-nwin // tau)
     padded = np.full(n + 4 * tau, pt.sigma, dtype=np.int64)
     padded[2 * tau - 1:2 * tau - 1 + n] = pt.symbols
-    ctx = np.zeros(nblocks, dtype=np.int64)
-    base = np.arange(nblocks, dtype=np.int64) * tau
-    for t in range(4 * tau):
-        ctx = ctx * (pt.sigma + 1) + padded[base + t]
+    ctx = pack_columns(((padded[t:t + nblocks * tau:tau], pt.sigma + 1)
+                        for t in range(4 * tau)), nblocks)[0]
     _, rep_blocks, inv = np.unique(ctx, return_index=True, return_inverse=True)
     mult = np.bincount(inv, minlength=len(rep_blocks))
 
@@ -509,7 +501,7 @@ def validate_sync_set(pt, tau, s, exact=None, seed=0):
 def _validate_exact(pt, tau, member):
     n = pt.n
     nmem = len(member)
-    inv = _fragment_classes(pt, 2 * tau, nmem)[0]
+    inv = _fragment_classes(pt, 2 * tau, nmem)
     ngroups = int(inv.max()) + 1 if nmem else 0
     hits = np.bincount(inv, weights=member, minlength=ngroups)
     sizes = np.bincount(inv, minlength=ngroups)
@@ -550,17 +542,10 @@ def _validate_sampled(pt, tau, member, seed):
     sample = rng.choice(pos, size=take, replace=False) if take else pos
     others = rng.integers(1, nmem + 1, size=_SAMPLE)
     probe = np.unique(np.concatenate([sample, others]))
-    if 2 * tau <= pt.key_cap:
-        def ctx(i):
-            return extract(pt, int(i), 2 * tau).value
-    else:
-        classes = _fragment_classes(pt, 2 * tau, nmem)[0]
-
-        def ctx(i):
-            return int(classes[i - 1])
+    classes = _fragment_classes(pt, 2 * tau, nmem)
     keys = {}
     for i in probe:
-        k = ctx(i)
+        k = int(classes[i - 1])
         prev = keys.get(k)
         if prev is None:
             keys[k] = int(i)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packed_text import substring_period
+from .packed_text import dense_ranks, pack_columns, substring_period
 from .suffix_core import SuffixArrayIndex, build_suffix_array
 
 
@@ -65,9 +65,9 @@ def build_tprime(pt, s):
 
     Members rank by the fragment T[i..i+3tau) zero-padded past the text
     end, then by the fragment length, then by d; equal triples share a
-    symbol.  The three are packed as bit fields, most significant first,
-    into as few columns of at most 62 bits as they need, so one sort
-    over the columns covers every tau and alphabet.
+    symbol.  The three are packed as mixed-radix fields into as few
+    int64 columns as they need, so one sort covers every tau and
+    alphabet.
     """
     n, tau = pt.n, s.tau
     sp = np.asarray(s.positions, dtype=np.int64)
@@ -81,31 +81,10 @@ def build_tprime(pt, s):
 
     def fields():
         for t in range(width):
-            yield sym[sp - 1 + t], pt.bits_per_symbol
-        yield np.minimum(width, n + 1 - sp), width.bit_length()
-        yield d + n, (2 * n).bit_length()
-
-    cols = [np.zeros(m, dtype=np.int64)]
-    used = 0
-    for vals, bits in fields():
-        if used + bits > 62:
-            cols.append(np.zeros(m, dtype=np.int64))
-            used = 0
-        cols[-1] <<= bits
-        cols[-1] |= vals
-        used += bits
-    # ranks need no stable order; one key sorts several times faster
-    # with argsort than with lexsort
-    if len(cols) == 1:
-        order = np.argsort(cols[0])
-    else:
-        order = np.lexsort(cols[::-1])
-    new_sym = np.zeros(m, dtype=bool)
-    for col in cols:
-        ks = col[order]
-        new_sym[1:] |= ks[1:] != ks[:-1]
-    reduced = np.empty(m, dtype=np.int64)
-    reduced[order] = np.cumsum(new_sym)
+            yield sym[sp - 1 + t], pt.sigma
+        yield np.minimum(width, n + 1 - sp), width + 1
+        yield d + n, 2 * n + 1
+    reduced = dense_ranks(pack_columns(fields(), m))
     return TPrimeString(tau, n, sp, reduced, d)
 
 

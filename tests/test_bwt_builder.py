@@ -122,6 +122,12 @@ def test_count_freq_matches_counter(rng):
     assert count_freq(pt, 301).total() == 0
 
 
+def test_count_freq_rejects_wide_keys(rng):
+    pt = pack(random_text(rng, 100, 4), 4)
+    with pytest.raises(ValueError):
+        count_freq(pt, 32)
+
+
 def test_offline_range_count_frozen():
     assert offline_range_count([(1, 1), (2, 2)], [(1, 2)]) == [2]
     assert offline_range_count([], [(0, 5)]) == [0]
@@ -220,6 +226,20 @@ def test_read_rejects_length_mismatch(tmp_path, rng):
     bp, mp = tmp_path / "t.bwt", tmp_path / "t.meta"
     write_bwt(res, bp, mp)
     bp.write_bytes(bp.read_bytes()[:-1])
+    with pytest.raises(ValueError):
+        read_bwt(bp, mp)
+
+
+@pytest.mark.parametrize("line", ["primary_index=0", "primary_index=61",
+                                  "sigma=2", "sigma=four"])
+def test_read_rejects_out_of_range_fields(tmp_path, line):
+    seq = [3, 0, 2, 1] * 15
+    bp, mp = tmp_path / "t.bwt", tmp_path / "t.meta"
+    write_bwt(build_bwt(pack(seq, 4)), bp, mp)
+    key = line.split("=")[0]
+    kept = [ln for ln in mp.read_text().splitlines()
+            if not ln.startswith(key + "=")]
+    mp.write_text("\n".join(kept + [line]) + "\n")
     with pytest.raises(ValueError):
         read_bwt(bp, mp)
 

@@ -36,6 +36,36 @@ def test_unbwt_round_trip(tmp_path, capsys):
     assert back.read_bytes() == src.read_bytes()
 
 
+def _tampered_unbwt(tmp_path, capsys, edit):
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes([2, 0, 1, 1, 0, 2] * 5))
+    out = tmp_path / "t.bwt"
+    meta = tmp_path / "t.bwt.meta"
+    assert _run(capsys, "bwt", "--input", str(src),
+                "--output", str(out))[0] == 0
+    edit(out, meta)
+    return _run(capsys, "unbwt", "--input", str(out), "--meta", str(meta),
+                "--output", str(tmp_path / "back.bin"))
+
+
+def test_unbwt_rejects_primary_out_of_range(tmp_path, capsys):
+    def edit(out, meta):
+        lines = [ln for ln in meta.read_text().splitlines()
+                 if not ln.startswith("primary_index=")]
+        meta.write_text("\n".join(lines + ["primary_index=31"]) + "\n")
+    status, _, err = _tampered_unbwt(tmp_path, capsys, edit)
+    assert status == 2
+    assert "primary index" in err
+
+
+def test_unbwt_rejects_symbol_beyond_sigma(tmp_path, capsys):
+    def edit(out, meta):
+        out.write_bytes(bytes([3]) + out.read_bytes()[1:])
+    status, _, err = _tampered_unbwt(tmp_path, capsys, edit)
+    assert status == 2
+    assert "alphabet" in err
+
+
 def test_bwt_missing_input(tmp_path, capsys):
     status, _, err = _run(capsys, "bwt", "--input",
                           str(tmp_path / "absent.txt"),

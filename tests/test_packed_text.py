@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sst.packed_text import (bulk_keys, extract, lcp_fragments, pack,
-                             period_of, substring_period)
+from sst.packed_text import (bulk_keys, dense_ranks, extract,
+                             lcp_fragments, pack, pack_columns, period_of,
+                             substring_period)
 from sst.reference_oracles import naive_lce, naive_period
 
 from conftest import random_text
@@ -130,3 +131,22 @@ def test_lcp_fragments_property(seq, data):
 def test_substring_period_property(seq):
     pt = pack(seq, 2)
     assert substring_period(pt, 1, len(seq)) == naive_period(seq)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([([3, 5, 7], 1), ([2 ** 31, 2 ** 31], 1),
+                        ([2 ** 32, 2 ** 31], 2), ([2 ** 40, 2 ** 30], 2),
+                        ([2, 2 ** 61, 5, 2 ** 40], 2),
+                        ([2 ** 61, 2 ** 61, 2 ** 61], 3)]),
+       st.integers(0, 25), st.data())
+def test_pack_columns_ranks_like_tuples(shape, m, data):
+    radices, ncols = shape
+    rows = [tuple(data.draw(st.one_of(st.integers(0, 2), st.just(r - 1),
+                                      st.integers(0, r - 1)))
+                  for r in radices) for _ in range(m)]
+    fields = [(np.array([row[f] for row in rows], dtype=np.int64), r)
+              for f, r in enumerate(radices)]
+    cols = pack_columns(fields, m)
+    assert len(cols) == ncols
+    order = sorted(set(rows))
+    assert dense_ranks(cols).tolist() == [order.index(row) for row in rows]

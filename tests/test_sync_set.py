@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from sst.packed_text import pack
-from sst.sync_set import (SyncSet, compute_q_and_b, construct,
-                          construct_deterministic, construct_packed_fast,
-                          construct_randomized, load_sync_set,
-                          packed_fast_applicable, save_sync_set,
-                          validate_sync_set)
+from sst.sync_set import (SyncSet, build_partition, compute_q_and_b,
+                          construct, construct_deterministic,
+                          construct_packed_fast, construct_randomized,
+                          load_sync_set, packed_fast_applicable,
+                          save_sync_set, validate_sync_set)
 from sst.reference_oracles import naive_b_positions, naive_q_positions
 
 from conftest import (all_binary_texts, full_profile, periodic_mosaic,
@@ -105,6 +105,23 @@ def test_q_and_b_match_oracles_on_mosaics(rng):
             assert list(psets.b_positions) == naive_b_positions(seq, tau)
             nonempty += bool(q)
     assert nonempty >= 20
+
+
+@pytest.mark.parametrize("sigma,tau", [(4, 31), (4, 32), (4, 40), (4, 64),
+                                       (4, 65), (256, 8), (256, 16),
+                                       (256, 17), (3, 40)])
+def test_partition_of_wide_windows_matches_grouping(rng, sigma, tau):
+    # tau * bits > 62 packs two or three columns up to the key capacity
+    # and cuts suffix order beyond it
+    seq = random_text(rng, 500, sigma)
+    word = random_text(rng, 3, sigma)
+    at = rng.randrange(0, 500 - 4 * tau)
+    seq[at:at + 4 * tau] = (word * (2 * tau))[:4 * tau]
+    pt = pack(seq, sigma)
+    wins = [tuple(seq[i:i + tau]) for i in range(len(seq) - tau + 1)]
+    rank = {w: r for r, w in enumerate(sorted(set(wins)))}
+    got = build_partition(pt, tau).class_of
+    assert got.tolist() == [rank[w] for w in wins]
 
 
 def test_unary_text_gives_empty_set():

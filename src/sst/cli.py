@@ -143,31 +143,67 @@ def _parse_query_line(line, lineno, n):
     return i, j
 
 
+def _plain_queries(text, n):
+    """The numbers of a query text as one int64 array, i1 j1 i2 j2 ...,
+    when the text holds only digits, spaces and newlines, each non-blank
+    line holds two numbers of at most 18 digits, and all lie in [1..n];
+    None otherwise."""
+    buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    digit = (buf >= 48) & (buf <= 57)
+    if not np.all(digit | (buf == 32) | (buf == 10)):
+        return None
+    # the starts and ends of the numbers alternate
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    if len(starts) % 2 or np.any(ends - starts > 18):
+        return None
+    line = np.searchsorted(np.flatnonzero(buf == 10), starts)
+    if np.any(line[0::2] != line[1::2]) or np.any(line[2::2] == line[1:-1:2]):
+        return None
+    vals = np.fromstring(text, dtype=np.int64, sep=" ")
+    if np.any((vals < 1) | (vals > n)):
+        return None
+    return vals
+
+
+def _parse_queries(text, n):
+    """Both columns of a query text as int64 arrays.
+
+    A plain text is parsed in bulk; any other is scanned line by line,
+    which accepts what int() accepts and raises at the first bad line.
+    """
+    vals = _plain_queries(text, n)
+    if vals is None:
+        vals = np.array([_parse_query_line(line, lineno, n)
+                         for lineno, line in enumerate(text.split("\n"), 1)
+                         if line.strip()], dtype=np.int64).reshape(-1)
+    return vals[0::2], vals[1::2]
+
+
 def cmd_lce(args):
     pt = _packed_from_file(args.input, args.sigma)
     idx = LceIndex(pt, tau=args.tau)
     if args.queries == "-":
-        lines = sys.stdin.readlines()
+        text = sys.stdin.read()
     else:
         try:
             with open(args.queries, "r", encoding="ascii") as fh:
-                lines = fh.readlines()
+                text = fh.read()
         except OSError as exc:
             raise CliError(str(exc), status=1)
-    seq = None
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        i, j = _parse_query_line(line, lineno, pt.n)
-        ans = idx.query(i, j)
-        if args.verify:
-            if seq is None:
-                seq = [pt.char_at(p) for p in range(1, pt.n + 1)]
+    qi, qj = _parse_queries(text, pt.n)
+    answers = idx.query_many(qi, qj).tolist()
+    if args.verify:
+        seq = pt.to_list()
+        for k, (i, j, ans) in enumerate(zip(qi.tolist(), qj.tolist(),
+                                            answers)):
             if ans != oracles.naive_lce(seq, i, j):
+                lineno = [no for no, line in enumerate(text.split("\n"), 1)
+                          if line.strip()][k]
                 print("verification failed at line %d (query %d %d)"
                       % (lineno, i, j), file=sys.stderr)
                 return 1
-        print(ans)
+    sys.stdout.write("%d\n" * len(answers) % tuple(answers))
     return 0
 
 
@@ -203,6 +239,9 @@ def cmd_inversions(args):
     return 0
 
 
+BENCH_QUERY_PAIRS = 1 << 16
+
+
 def _bench_text(n, seed):
     rng = np.random.default_rng(seed)
     return pack(rng.integers(0, 2, size=n, dtype=np.uint8), 2)
@@ -233,6 +272,17 @@ def cmd_bench(args):
             ("build_bwt_sync", lambda pt=pt: build_bwt(pt)),
             ("build_bwt_naive",
              lambda pt=pt: build_bwt(pt, force_naive=True)),
+        ]
+        # the same seeded pairs through the batch and the scalar path
+        idx = LceIndex(pt)
+        qi, qj = np.random.default_rng([args.seed, n]).integers(
+            1, n + 1, size=(2, BENCH_QUERY_PAIRS))
+        pairs = list(zip(qi.tolist(), qj.tolist()))
+        tasks += [
+            ("lce_query_scalar",
+             lambda idx=idx, pairs=pairs: [idx.query(i, j) for i, j in pairs]),
+            ("lce_query_many",
+             lambda idx=idx, qi=qi, qj=qj: idx.query_many(qi, qj)),
         ]
         if n <= 1 << 20:
             tasks.insert(1, ("sync_construct_det",

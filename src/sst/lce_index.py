@@ -13,9 +13,15 @@ positions; the successor offsets alone determine the answer there.
 
 import math
 
-from .packed_text import lcp_fragments
+import numpy as np
+
+from .packed_text import lcp_fragments, lcp_fragments_many
 from .sync_set import construct
 from .sync_sort import sort_sync_suffixes
+
+# pairs per numpy pass of query_many: a block's temporaries take about
+# 1 MB, and each block adds a fixed cost of some hundred numpy calls
+QUERY_BLOCK = 1 << 13
 
 
 def default_tau(n, sigma):
@@ -54,6 +60,9 @@ class LceIndex:
         self.order.suffix_index.prepare_lce()
         self._rank1 = self.sync.rank_structure().rank1
         self._pos = self.sync.positions.tolist()
+        # _succ[r]: the member of rank r, the sentinel for r >= |S|
+        sent = self.sync.sentinel
+        self._succ = np.append(self.sync.positions, [sent, sent])
 
     def query(self, i, j):
         """LCE of the suffixes starting at 1-based positions i and j."""
@@ -95,3 +104,62 @@ class LceIndex:
         gb = (pos[bi + 1] if bi + 1 < nprime else sent) - b
         return a - i + min(ga, gb) + 2 * tau - 1
 
+    def query_many(self, i, j):
+        """query over 1-D arrays of 1-based positions, as an int64 array.
+
+        Every step of query runs on whole blocks of QUERY_BLOCK pairs,
+        which bounds the temporaries; np.searchsorted over the sorted
+        members stands in for the rank structure.
+        """
+        n = self.pt.n
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        if i.ndim != 1 or i.shape != j.shape:
+            raise ValueError("positions must be two 1-D arrays of one length")
+        if np.any((i < 1) | (i > n) | (j < 1) | (j > n)):
+            raise IndexError("positions out of range [1..%d]" % n)
+        out = np.empty(len(i), dtype=np.int64)
+        for lo in range(0, len(i), QUERY_BLOCK):
+            hi = lo + QUERY_BLOCK
+            out[lo:hi] = self._query_block(i[lo:hi], j[lo:hi])
+        return out
+
+    def _query_block(self, i, j):
+        pt = self.pt
+        n = pt.n
+        if self.direct:
+            return lcp_fragments_many(pt, i, j, n)
+        cap = 3 * self.tau
+        out = lcp_fragments_many(pt, i, j, cap)
+        same = i == j
+        out[same] = n - i[same] + 1
+        hop = np.flatnonzero((out == cap) & ~same)
+        out[hop] = self._hop_many(i[hop], j[hop])
+        return out
+
+    def _hop_many(self, i, j):
+        """Answers of query for distinct i, j whose heads match 3tau."""
+        tau = self.tau
+        cap = 3 * tau
+        pos = self.sync.positions
+        nprime = len(pos)
+        succ = self._succ
+        ir = np.searchsorted(pos, i - 1, side="right")
+        jr = np.searchsorted(pos, j - 1, side="right")
+        di = succ[ir] - i
+        dj = succ[jr] - j
+        out = np.minimum(di, dj) + 2 * tau - 1
+        go = np.flatnonzero(di == dj)
+        i, ir, jr = i[go], ir[go], jr[go]
+        ell = np.zeros(len(go), dtype=np.int64)
+        both = np.flatnonzero((ir < nprime) & (jr < nprime))
+        ell[both] = self.order.suffix_index.lce_many(ir[both] + 1,
+                                                     jr[both] + 1)
+        ai = ir + ell
+        bi = jr + ell
+        a = succ[ai]
+        b = succ[bi]
+        tail = lcp_fragments_many(self.pt, a, b, cap)
+        gap = np.minimum(succ[ai + 1] - a, succ[bi + 1] - b)
+        out[go] = a - i + np.where(tail < cap, tail, gap + 2 * tau - 1)
+        return out

@@ -172,6 +172,53 @@ def lcp_fragments(pt, i, j, cap):
     return limit
 
 
+def lcp_fragments_many(pt, i, j, cap):
+    """lcp_fragments over arrays of 1-based positions, as an int64 array.
+
+    cap is one bound or an array of them.  Each round reads the next 64
+    bits of every pair that still matches, so the rounds number the most
+    words any one pair spans.
+    """
+    n = pt.n
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    if np.any((i < 1) | (i > n) | (j < 1) | (j > n)):
+        raise IndexError("positions out of range")
+    limit = np.maximum(np.minimum(n + 1 - np.maximum(i, j), cap), 0)
+    out = np.where(i == j, limit, 0)
+    act = np.flatnonzero((i != j) & (limit > 0))
+    b = pt.bits_per_symbol
+    words = pt.words
+    last = len(words) - 1
+    p1 = (i[act] - 1) * b
+    p2 = (j[act] - 1) * b
+    bits = limit[act] * b
+    rem = bits.copy()
+    while act.size:
+        diff = _read_words(words, last, p1) ^ _read_words(words, last, p2)
+        # trailing zeros, the bits matched in this word; 64 when it all
+        # matched.  Bits past rem, garbage at the text's end included,
+        # never count.
+        low = np.bitwise_count(~diff & (diff - np.uint64(1)))
+        rem -= np.minimum(low, rem)
+        more = (low == WORD_BITS) & (rem > 0)
+        out[act[~more]] = (bits[~more] - rem[~more]) // b
+        act, bits, rem = act[more], bits[more], rem[more]
+        p1 = p1[more] + WORD_BITS
+        p2 = p2[more] + WORD_BITS
+    return out
+
+
+def _read_words(words, last, pos):
+    """The 64 bits of the packed stream from each bit offset in pos.  Bits
+    past the end of the last word are unspecified; callers ignore them."""
+    w = pos >> 6
+    off = (pos & 63).astype(np.uint64)
+    hi = words[np.minimum(w + 1, last)]
+    # two shifts, so that off == 0 shifts hi out instead of by 64 bits
+    return (words[w] >> off) | (hi << (np.uint64(63) - off) << np.uint64(1))
+
+
 def substring_period(pt, i, length):
     """Smallest period of T[i..i+length).
 

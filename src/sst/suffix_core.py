@@ -4,6 +4,14 @@ Positions and ranks are 1-based to match the rest of the package.  No
 sentinel is appended: a suffix that is a proper prefix of another sorts
 first, which the doubling comparison realizes by ranking absent symbols
 below every real rank.
+
+Prefix doubling (Manber and Myers, SIAM J. Comput. 1993) ranks the
+2^k-symbol prefixes of all suffixes in round k.  The index keeps those
+rank arrays until the LCP array is built from them by binary lifting:
+two distinct starts with equal round-k ranks begin with equal, complete
+2^k-symbol blocks, so the common prefix of two suffixes is the sum of
+the block lengths that match, tried from the longest down.  The ranks
+are dropped once the LCP array exists.
 """
 
 import numpy as np
@@ -15,7 +23,7 @@ class SuffixArrayIndex:
     """Suffix array and inverse; the LCP array and its sparse-table
     minimum are built on first use, or at once by prepare_lce."""
 
-    __slots__ = ("n", "sa", "isa", "_seq", "_lcp", "_rmq")
+    __slots__ = ("n", "sa", "isa", "_ranks", "_lcp", "_rmq")
 
     def __init__(self, seq):
         if isinstance(seq, str):
@@ -23,16 +31,23 @@ class SuffixArrayIndex:
         arr = np.asarray(seq, dtype=np.int64)
         n = arr.size
         self.n = n
-        self._seq = arr
+        self._ranks = []
         self._lcp = None
         self._rmq = None
         if n == 0:
             self.sa = np.zeros(0, dtype=np.int64)
             self.isa = np.zeros(0, dtype=np.int64)
             return
+        narrow = next(t for t in (np.int16, np.int32, np.int64)
+                      if n <= np.iinfo(t).max)
         rank = dense_ranks([arr])
         k = 1
         while int(rank.max()) < n - 1:
+            # -1 at index n stands for a block that runs past the end
+            kept = np.empty(n + 1, dtype=narrow)
+            kept[:n] = rank
+            kept[n] = -1
+            self._ranks.append(kept)
             nxt = np.zeros(n, dtype=np.int64)
             nxt[:n - k] = rank[k:] + 1
             rank = dense_ranks(pack_columns([(rank, n), (nxt, n + 1)], n))
@@ -46,8 +61,8 @@ class SuffixArrayIndex:
     def lcp(self):
         """lcp[r]: common prefix of the suffixes of ranks r+1 and r+2."""
         if self._lcp is None:
-            self._lcp = _kasai(self._seq, self.sa - 1, self.isa - 1)
-            self._seq = None
+            self._lcp = _lcp_by_lifting(self._ranks, self.sa - 1)
+            self._ranks = None
         return self._lcp
 
     def prepare_lce(self):
@@ -70,28 +85,40 @@ class SuffixArrayIndex:
             self.prepare_lce()
         return _range_min(self._rmq, a, b)
 
+    def lce_many(self, i, j):
+        """lce over arrays of 1-based suffix indices, as an int64 array."""
+        n = self.n
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        if np.any((i < 1) | (i > n) | (j < 1) | (j > n)):
+            raise IndexError("suffix index out of range")
+        a = self.isa[i - 1] - 1
+        b = self.isa[j - 1] - 1
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        out = n - i + 1
+        apart = np.flatnonzero(lo != hi)
+        if self._rmq is None:
+            self.prepare_lce()
+        out[apart] = _range_min_many(self._rmq, lo[apart], hi[apart])
+        return out
 
-def _kasai(arr, sa0, rank):
-    n = arr.size
-    lcp = np.zeros(max(n - 1, 0), dtype=np.int64)
-    if n < 2:
-        return lcp
-    seq = arr.tolist()
-    rk = rank.tolist()
-    sa = sa0.tolist()
-    h = 0
-    for i in range(n):
-        r = rk[i]
-        if r == n - 1:
-            h = 0
-            continue
-        j = sa[r + 1]
-        while i + h < n and j + h < n and seq[i + h] == seq[j + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
-    return lcp
+
+def _lcp_by_lifting(ranks, sa0):
+    """Common prefix of the suffixes at sa0[r] and sa0[r+1], 0-based.
+
+    ranks[k] holds the round-k rank of every start plus -1 at index n.
+    The final round's ranks are distinct, so every common prefix is
+    shorter than 2^len(ranks) and one pass from the top round down
+    finds it.  A start plus the prefix found so far is at most n, and
+    at most one of the two reaches n, where -1 matches no rank.
+    """
+    a = sa0[:-1]
+    b = sa0[1:]
+    h = np.zeros(len(a), dtype=np.int64)
+    for k in range(len(ranks) - 1, -1, -1):
+        rk = ranks[k]
+        h += (rk[a + h] == rk[b + h]) << k
+    return h
 
 
 def _build_sparse_min(vals):
@@ -110,6 +137,18 @@ def _range_min(table, a, b):
     k = (b - a).bit_length() - 1
     row = table[k]
     return int(min(row[a], row[b - (1 << k)]))
+
+
+def _range_min_many(table, a, b):
+    """_range_min over arrays of bounds, one table level at a time."""
+    # frexp's exponent minus one is floor(log2) of a positive integer
+    k = np.frexp((b - a).astype(np.float64))[1] - 1
+    out = np.empty(len(a), dtype=np.int64)
+    for level in np.flatnonzero(np.bincount(k)).tolist():
+        sel = np.flatnonzero(k == level)
+        row = table[level]
+        out[sel] = np.minimum(row[a[sel]], row[b[sel] - (1 << level)])
+    return out
 
 
 def build_suffix_array(seq):

@@ -1,6 +1,11 @@
+import io
 import json
 
+import numpy as np
+
 from sst.cli import main
+from sst.lce_index import LceIndex
+from sst.packed_text import pack
 
 
 def _run(capsys, *argv):
@@ -165,6 +170,75 @@ def test_lce_bad_query_line(tmp_path, capsys):
     assert status == 2 and "out of range" in err
 
 
+def _lce_files(tmp_path, queries):
+    src = tmp_path / "banana.txt"
+    src.write_bytes(b"banana")
+    q = tmp_path / "q.txt"
+    q.write_text(queries)
+    return ["lce", "--input", str(src), "--queries", str(q)]
+
+
+def test_lce_blank_lines_and_int_syntax(tmp_path, capsys):
+    # blank lines are skipped; the line scan takes tabs and signs as
+    # int() does
+    for queries in ("1 1\n\n2 4\n   \n3 5\n\n",
+                    "1\t1\n\n+2 4\n   \n3  05\n"):
+        status, out, _ = _run(capsys, *_lce_files(tmp_path, queries))
+        assert status == 0
+        assert out == "6\n3\n2\n"
+
+
+def test_lce_queries_from_stdin(tmp_path, capsys, monkeypatch):
+    argv = _lce_files(tmp_path, "")[:3] + ["--queries", "-", "--verify"]
+    monkeypatch.setattr("sys.stdin", io.StringIO("2 4\n3 5\n1 4"))
+    status, out, _ = _run(capsys, *argv)
+    assert status == 0 and out == "3\n2\n0\n"
+
+
+def test_lce_bad_line_after_good_ones(tmp_path, capsys):
+    # the whole file is read before any answer is written
+    for bad, message in (("1 x", "line 4: non-integer token in '1 x'"),
+                         ("2 7", "line 4: position out of range [1..6]"),
+                         ("0 1", "line 4: position out of range [1..6]"),
+                         ("1 2 3", "line 4: expected two integers, "
+                                   "got '1 2 3'"),
+                         ("5", "line 4: expected two integers, got '5'")):
+        argv = _lce_files(tmp_path, "1 1\n2 4\n\n%s\n3 5\n" % bad)
+        status, out, err = _run(capsys, *argv)
+        assert status == 2 and out == ""
+        assert err == "sst: error: %s\n" % message
+
+
+def test_lce_verify_names_the_file_line(tmp_path, capsys, monkeypatch):
+    def off_by_one_at_third(self, i, j):
+        got = real(self, i, j)
+        got[2] += 1
+        return got
+    real = LceIndex.query_many
+    monkeypatch.setattr(LceIndex, "query_many", off_by_one_at_third)
+    argv = _lce_files(tmp_path, "1 1\n\n2 4\n\n3 5\n1 4\n") + ["--verify"]
+    status, out, err = _run(capsys, *argv)
+    assert status == 1 and out == ""
+    assert "verification failed at line 5 (query 3 5)" in err
+
+
+def test_lce_batch_matches_scalar_query(tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    text = rng.integers(0, 4, size=3000, dtype=np.uint8)
+    # a periodic stretch and pairs one period apart make long extensions
+    text[1000:2000] = np.tile(text[1000:1010], 100)
+    pairs = rng.integers(1, 3001, size=(500, 2))
+    pairs[::2, 1] = np.minimum(pairs[::2, 0] + 10, 3000)
+    src, q = tmp_path / "t.bin", tmp_path / "q.txt"
+    src.write_bytes(text.tobytes())
+    q.write_text("".join("%d %d\n" % (i, j) for i, j in pairs.tolist()))
+    status, out, _ = _run(capsys, "lce", "--input", str(src), "--queries",
+                          str(q), "--tau", "2", "--verify")
+    assert status == 0
+    idx = LceIndex(pack(text, 4), tau=2)
+    assert out.split() == [str(idx.query(i, j)) for i, j in pairs.tolist()]
+
+
 def test_inversions_variants(tmp_path, capsys):
     arr = tmp_path / "a.txt"
     arr.write_text("2 0 3 1\n")
@@ -189,6 +263,7 @@ def test_bench_json(tmp_path, capsys):
     rows = json.loads(out)
     tasks = {r["task"] for r in rows}
     assert {"build_bwt_sync", "build_bwt_naive", "sync_construct_random",
+            "lce_query_scalar", "lce_query_many",
             "naive_over_sync_ratio"} <= tasks
     assert all(r["n"] == 4096 for r in rows)
 

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sst.lce_index import LceIndex, default_tau
 from sst.packed_text import pack
@@ -17,6 +20,10 @@ def _check_all_pairs(seq, tau=None):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             assert idx.query(i, j) == naive_lce(seq, i, j), (seq, tau, i, j)
+    i, j = np.divmod(np.arange(n * n), n)
+    batch = idx.query_many(i + 1, j + 1).reshape(n, n)
+    assert batch.tolist() == [[idx.query(a, b) for b in range(1, n + 1)]
+                              for a in range(1, n + 1)], (seq, tau)
 
 
 def test_exhaustive_tiny_binary():
@@ -115,3 +122,96 @@ def test_large_mosaic_spot_checks(rng):
     for _ in range(200):
         i, j = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
         assert idx.query(i, j) == naive_lce(seq, i, j)
+
+
+def _repetitive_text(rng, n, sigma):
+    """Mutated copies of one random base, so that long extensions abound."""
+    base = random_text(rng, max(1, n // 8), sigma)
+    seq = (base * (n // len(base) + 1))[:n]
+    for _ in range(max(1, n // 100)):
+        seq[rng.randrange(n)] = rng.randrange(sigma)
+    return seq
+
+
+def _runs_text(rng, n, sigma):
+    """Copies of one head, each followed by a unary run of a length of its
+    own, then noise."""
+    head = random_text(rng, rng.randrange(5, 40), sigma)
+    seq = []
+    while len(seq) < n:
+        seq += (head + [rng.randrange(sigma)] * rng.randrange(10, 60)
+                + random_text(rng, 5, sigma))
+    return seq[:n]
+
+
+TEXTS = {"random": random_text, "mosaic": periodic_mosaic,
+         "repetitive": _repetitive_text, "runs": _runs_text}
+
+
+def test_runs_of_unequal_length(rng):
+    # extensions from two copies of the head match the 3tau symbols after
+    # the last common synchronizing position and end where the shorter
+    # run ends: the answer comes from the gaps to the next members
+    head = random_text(rng, 30, 4)
+    seq = []
+    for run in (40, 25, 33):
+        seq += head + [1] * run + random_text(rng, 8, 4)
+    for tau in (3, 4, 6):
+        _check_all_pairs(seq, tau=tau)
+
+
+def _check_batch(seq, sigma, tau, pairs):
+    idx = LceIndex(pack(seq, sigma), tau=tau)
+    i = np.array([p[0] for p in pairs], dtype=np.int64)
+    j = np.array([p[1] for p in pairs], dtype=np.int64)
+    got = idx.query_many(i, j)
+    assert got.dtype == np.int64
+    want = [idx.query(a, b) for a, b in pairs]
+    assert got.tolist() == want, (seq, sigma, tau)
+    assert want == [naive_lce(seq, a, b) for a, b in pairs]
+    return idx
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 4, 16, 256]), st.sampled_from(sorted(TEXTS)),
+       st.integers(1, 420), st.integers(0, 2 ** 32), st.data())
+def test_query_many_matches_query(sigma, kind, n, seed, data):
+    rng = random.Random(seed)
+    seq = TEXTS[kind](rng, n, sigma)
+    bits = max(1, (sigma - 1).bit_length())
+    word_limit = max(1, 62 // (3 * bits))
+    # up to the word limit, past the key capacity, and 2tau > n (direct)
+    tau = data.draw(st.one_of(
+        st.none(), st.integers(1, word_limit),
+        st.sampled_from([1, word_limit, 128 // bits + 1, n // 2 + 1])))
+    pos = st.integers(1, n)
+    pairs = data.draw(st.lists(st.tuples(pos, pos), max_size=60))
+    # i == j, and the last positions, whose successor is the sentinel
+    tail = range(max(1, n - 6 * (tau or 4)), n + 1)
+    pairs += [(p, p) for p in tail[:3]]
+    pairs += [(a, b) for a in tail for b in tail][:200]
+    _check_batch(seq, sigma, tau, pairs)
+
+
+def test_query_many_successor_at_sentinel(rng):
+    # a random head, then a tail of period at most tau/3, which holds no
+    # synchronizing position: hops from the tail land on the sentinel
+    for sigma, tau, period in ((2, 3, [1]), (4, 6, [3, 0]), (16, 9, [5])):
+        seq = random_text(rng, 60, sigma) + (period * 180)[:180]
+        n = len(seq)
+        pairs = [(a, b) for a in range(1, n + 1, 3)
+                 for b in range(1, n + 1, 2)]
+        idx = _check_batch(seq, sigma, tau, pairs)
+        assert int(idx.sync.positions.max()) < 60 + 2 * tau
+
+
+def test_query_many_empty_and_out_of_range():
+    idx = LceIndex(pack([0, 1, 0, 1, 1, 0, 1, 0], 2), tau=1)
+    assert idx.query_many([], []).tolist() == []
+    for i, j in (([0], [1]), ([1], [9]), ([1, 2], [3, 99])):
+        with pytest.raises(IndexError):
+            idx.query_many(i, j)
+    with pytest.raises(ValueError):
+        idx.query_many([1, 2], [3])
+    direct = LceIndex(pack([1], 2))
+    assert direct.query_many([1], [1]).tolist() == [1]

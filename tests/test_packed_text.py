@@ -1,14 +1,16 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sst.packed_text import (bulk_keys, dense_ranks, extract,
-                             lcp_fragments, pack, pack_columns, period_of,
-                             substring_period)
+                             lcp_fragments, lcp_fragments_many, pack,
+                             pack_columns, period_of, substring_period)
 from sst.reference_oracles import naive_lce, naive_period
 
-from conftest import random_text
+from conftest import periodic_mosaic, random_text
 
 
 def test_pack_round_trip(rng):
@@ -124,6 +126,26 @@ def test_lcp_fragments_property(seq, data):
     j = data.draw(st.integers(1, len(seq)))
     cap = data.draw(st.integers(0, 50))
     assert lcp_fragments(pt, i, j, cap) == min(cap, naive_lce(seq, i, j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 16, 256]), st.integers(1, 300),
+       st.integers(0, 2 ** 32), st.data())
+def test_lcp_fragments_many_matches_scalar(sigma, n, seed, data):
+    # periodic stretches make matches that run over several words
+    seq = periodic_mosaic(random.Random(seed), n, sigma)
+    pt = pack(seq, sigma)
+    pos = st.integers(1, n)
+    rows = data.draw(st.lists(st.tuples(pos, pos, st.integers(-1, n + 2)),
+                              max_size=40))
+    i, j, cap = (np.array([r[t] for r in rows], dtype=np.int64)
+                 for t in range(3))
+    want = [lcp_fragments(pt, a, b, c) for a, b, c in rows]
+    assert lcp_fragments_many(pt, i, j, cap).tolist() == want
+    assert lcp_fragments_many(pt, i, j, n).tolist() == [
+        lcp_fragments(pt, a, b, n) for a, b, _ in rows]
+    with pytest.raises(IndexError):
+        lcp_fragments_many(pt, [1], [n + 1], n)
 
 
 @settings(max_examples=60, deadline=None)

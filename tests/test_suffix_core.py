@@ -4,7 +4,8 @@ from sst.suffix_core import SuffixArrayIndex, build_suffix_array
 from sst.reference_oracles import (doubling_suffix_array, naive_lce,
                                    naive_suffix_array)
 
-from conftest import all_binary_texts, random_text
+from conftest import (all_binary_texts, fibonacci_word, periodic_mosaic,
+                      random_text)
 
 
 def test_banana_suffix_array():
@@ -57,6 +58,31 @@ def test_lazy_lcp_matches_naive_lce(rng):
             assert idx.lcp[r] == naive_lce(seq, int(idx.sa[r]),
                                            int(idx.sa[r + 1]))
         assert idx.lce(3, 77) == naive_lce(seq, 3, 77)
+
+
+def test_lcp_by_lifting_matches_brute_force(rng):
+    texts = [[0], [1, 1], [0, 1], fibonacci_word(300), [0] * 257]
+    for sigma in (2, 4, 256):
+        texts += [random_text(rng, rng.randrange(3, 400), sigma),
+                  periodic_mosaic(rng, rng.randrange(3, 400), sigma)]
+    for seq in texts:
+        idx = SuffixArrayIndex(seq)
+        sa = idx.sa.tolist()
+        want = [naive_lce(seq, a, b) for a, b in zip(sa, sa[1:])]
+        assert idx.lcp.tolist() == want, seq
+        # the doubling ranks are released with the LCP array built
+        assert idx._ranks is None
+
+
+def test_lce_many_matches_lce(rng):
+    for seq in (random_text(rng, 90, 2), periodic_mosaic(rng, 90, 4), [3]):
+        idx = SuffixArrayIndex(seq)
+        n = len(seq)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        got = idx.lce_many([p[0] for p in pairs], [p[1] for p in pairs])
+        assert got.tolist() == [idx.lce(i, j) for i, j in pairs]
+    with pytest.raises(IndexError):
+        idx.lce_many([1], [2])
 
 
 def test_lce_all_pairs(rng):

@@ -20,7 +20,7 @@ from .sync_set import construct
 from .sync_sort import sort_sync_suffixes
 
 # pairs per numpy pass of query_many: a block's temporaries take about
-# 1 MB, and each block adds a fixed cost of some hundred numpy calls
+# 1 MB, and each block adds a fixed cost of about a hundred numpy calls
 QUERY_BLOCK = 1 << 13
 
 
@@ -131,14 +131,14 @@ class LceIndex:
             return lcp_fragments_many(pt, i, j, n)
         cap = 3 * self.tau
         out = lcp_fragments_many(pt, i, j, cap)
-        same = i == j
-        out[same] = n - i[same] + 1
-        hop = np.flatnonzero((out == cap) & ~same)
+        # i == j needs no case of its own: the hop reaches the sentinel
+        # on both sides and answers n - i + 1, like the head compare
+        hop = np.flatnonzero(out == cap)
         out[hop] = self._hop_many(i[hop], j[hop])
         return out
 
     def _hop_many(self, i, j):
-        """Answers of query for distinct i, j whose heads match 3tau."""
+        """Answers of query for i, j whose heads match 3tau."""
         tau = self.tau
         cap = 3 * tau
         pos = self.sync.positions

@@ -202,7 +202,9 @@ def test_lce_bad_line_after_good_ones(tmp_path, capsys):
                          ("0 1", "line 4: position out of range [1..6]"),
                          ("1 2 3", "line 4: expected two integers, "
                                    "got '1 2 3'"),
-                         ("5", "line 4: expected two integers, got '5'")):
+                         ("1 2 3 4", "line 4: expected two integers, "
+                                     "got '1 2 3 4'"),
+                         ("5\n6", "line 4: expected two integers, got '5'")):
         argv = _lce_files(tmp_path, "1 1\n2 4\n\n%s\n3 5\n" % bad)
         status, out, err = _run(capsys, *argv)
         assert status == 2 and out == ""

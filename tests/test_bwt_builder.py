@@ -107,6 +107,19 @@ def test_every_tau_matches_oracle():
                     (sigma, maker.__name__, len(seq), tau)
 
 
+@settings(max_examples=4000 if full_profile() else 800, deadline=None)
+@given(st.sampled_from([2, 3, 4, 16, 256]),
+       st.sampled_from([random_text, periodic_mosaic, _repetitive]),
+       st.integers(1, 3000), st.integers(0, 2 ** 32), st.data())
+def test_bwt_differential(sigma, maker, n, seed, data):
+    seq = maker(random.Random(seed), n, sigma)
+    bits = (sigma - 1).bit_length()
+    tau = data.draw(st.integers(1, 62 // (3 * bits)))
+    res = build_bwt(pack(seq, sigma), tau=tau)
+    assert (list(res.bwt), res.primary_index) == naive_bwt(seq), \
+        (sigma, maker.__name__, n, tau)
+
+
 def test_count_freq_matches_counter(rng):
     from collections import Counter
     seq = random_text(rng, 300, 4)

@@ -2,7 +2,7 @@
 
 from .packed_text import (PackedText, SubstringKey, bulk_keys, dense_ranks,
                           extract, lcp_fragments, lcp_fragments_many, pack,
-                          pack_columns, substring_period)
+                          pack_columns, short_periods)
 from .succinct import RankBitvector, count_inversions_bits
 from .suffix_core import SuffixArrayIndex, build_suffix_array
 from .sync_set import (SyncSet, compute_q_and_b, construct,
@@ -11,9 +11,9 @@ from .sync_set import (SyncSet, compute_q_and_b, construct,
                        validate_sync_set)
 from .sync_sort import SortedSyncOrder, TPrimeString, sort_sync_suffixes
 from .lce_index import LceIndex, default_tau
-from .bwt_builder import (BwtResult, FreqTable, PeriodicRun, build_bwt,
-                          count_freq, invert_bwt, offline_range_count,
-                          read_bwt, write_bwt)
+from .bwt_builder import (BwtResult, FreqTable, build_bwt, count_freq,
+                          invert_bwt, offline_range_count, read_bwt,
+                          write_bwt)
 from .inversions import (ReductionText, build_reduction_general,
                          build_reduction_small, count_inversions_via_bwt,
                          extract_wavelet_blocks)

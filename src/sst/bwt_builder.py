@@ -24,10 +24,11 @@ from functools import cmp_to_key
 import numpy as np
 
 from .lce_index import LceIndex, default_tau
-from .packed_text import bulk_keys, pack_columns, sort_rows, substring_period
+from .packed_text import (bulk_keys, dense_ranks, pack_columns, short_periods,
+                          sort_rows)
 from .suffix_core import SuffixArrayIndex
 from .sync_set import construct
-from .sync_sort import sort_sync_suffixes
+from .sync_sort import find_runs, sort_sync_suffixes
 
 
 class BwtResult:
@@ -42,23 +43,6 @@ class BwtResult:
 
     def __len__(self):
         return len(self.bwt)
-
-
-class PeriodicRun:
-    """A maximal periodic run whose start needs a patched output slot.
-
-    lsig holds (|U'|, k, |U''|) for the decomposition U' U^k U'' of the
-    run body, where U is the canonical rotation of the period word.
-    """
-
-    __slots__ = ("j", "e", "type", "lroot_id", "lsig")
-
-    def __init__(self, j, e, type, lroot_id, lsig):
-        self.j = int(j)
-        self.e = int(e)
-        self.type = int(type)
-        self.lroot_id = int(lroot_id)
-        self.lsig = tuple(int(v) for v in lsig)
 
 
 class FreqTable:
@@ -136,13 +120,11 @@ def _emit_blocks(pt, tau, s, order):
     first[1:] &= ~(blk[:-1] & (skey[1:] == skey[:-1]))
     starts = np.nonzero(first)[0]
     labels = skey[starts]
-    fill = np.full(len(labels), -1, dtype=np.int64)
-    for p in range(1, tau // 3 + 1):
-        tail = sigma ** (cap - p)
-        hit = (fill < 0) & (labels // sigma ** p == labels % tail)
-        fill[hit] = labels[hit] // tail % sigma
-    if np.any(fill < 0):
+    # inside a run T[i-1] = T[i+p-1], read at the block's first position
+    p = short_periods(pt, sa0[starts] + 1, cap, tau // 3)
+    if np.any(p == 0):
         raise AssertionError("periodic block label without a short period")
+    fill = pt.symbols[sa0[starts] + p - 1]
     bwt[blk] = fill[np.cumsum(first)[blk] - 1]
     slot1 = int(np.nonzero(sa0 == 0)[0][0])
     primary = None if blk[slot1] else slot1 + 1
@@ -150,36 +132,38 @@ def _emit_blocks(pt, tau, s, order):
 
 
 def derive_runs(pt, tau, s):
-    """Periodic runs between synchronizing positions more than tau apart."""
-    n = pt.n
-    sp = np.asarray(s.positions, dtype=np.int64)
-    prev = np.concatenate([[0], sp])
-    nxt = np.concatenate([sp, [n - 2 * tau + 2]])
-    runs = []
-    roots = []
-    root_ids = {}
-    for i in np.nonzero(nxt - prev > tau)[0]:
-        j = int(prev[i]) + 1
-        e = int(nxt[i]) + 2 * tau - 1
-        p = substring_period(pt, j, 3 * tau - 1)
-        if 3 * p > tau:
-            raise AssertionError("run at %d is not highly periodic" % j)
-        w0 = [pt.char_at(j + t) for t in range(p)]
-        delta = min(range(p), key=lambda r: w0[r:] + w0[:r])
-        root = tuple(w0[delta:] + w0[:delta])
-        rid = root_ids.setdefault(root, len(roots))
-        if rid == len(roots):
-            roots.append(root)
-        k, u2 = divmod(e - j - delta, p)
-        if k < 1:
-            raise AssertionError("run at %d shorter than its period" % j)
-        if e <= n and pt.char_at(e) == pt.char_at(e - p):
-            raise AssertionError("no period break at %d" % e)
-        typ = 1 if e <= n and pt.char_at(e) > pt.char_at(e - p) else -1
-        runs.append(PeriodicRun(j, e, typ, rid, (delta, k, u2)))
-    if len(runs) > len(sp) + 1:
-        raise AssertionError("more runs than gaps between members")
-    return runs, roots
+    """The periodic runs of find_runs, each with its Lyndon root.
+
+    Returns a record array with one row per run and the root words by
+    root id.  Besides the fields of find_runs a row holds root, the id
+    of the run's root U, the smallest rotation of its period word
+    T[j..j+p); delta, the rotation with T[j+delta..j+delta+p) = U; and
+    k and u2 with e - j = delta + k*p + u2, 0 <= u2 < p.  Ids number the
+    distinct roots in order of first appearance.
+    """
+    runs = find_runs(pt, tau, s.positions)
+    m, j0, p = len(runs), runs.j - 1, runs.p
+    pm = int(p.max(initial=1))
+    # rotation r < p starts at j+r; its first pm >= p symbols order it as
+    # its p symbols do, since the run repeats the period word past them,
+    # and with p they name the root.  pm <= tau/3 keeps them in the run.
+    r = np.arange(pm)[:, None]
+    rot = pack_columns(((pt.symbols[j0 + r + t], pt.sigma)
+                        for t in range(pm)), (pm, m))[0]
+    rot[r >= p] = pt.sigma ** pm
+    delta = rot.argmin(axis=0)
+    k, u2 = np.divmod(runs.e - runs.j - delta, p)
+    if np.any(k < 1):
+        raise AssertionError("run at %d shorter than its period"
+                             % runs.j[k < 1][0])
+    _, first, inv = np.unique(rot[delta, np.arange(m)] * (pm + 1) + p,
+                              return_index=True, return_inverse=True)
+    seen = np.sort(first)
+    roots = [tuple(pt.symbols[a:a + q].tolist())
+             for a, q in zip((j0 + delta)[seen], p[seen])]
+    return np.rec.fromarrays(
+        [runs.prev, runs.j, runs.e, p, runs.type, dense_ranks([first[inv]]),
+         delta, k, u2], names="prev,j,e,p,type,root,delta,k,u2"), roots
 
 
 def offline_range_count(points, queries):
@@ -239,19 +223,19 @@ def _ramp_sum(tables, kq):
     return int(rp[ir]) - kq * ir + kq * il - int(lp[il])
 
 
-def correct_periodic(pt, tau, runs, bwt, bases, roots, lce):
+def correct_periodic(pt, tau, runs, bwt, bases, lce):
     """Patch the run-start slots of the filled blocks, in place.
 
-    bases maps the integer key of each periodic leaf label to the output
-    offset of its block, and lce answers the tail comparisons.  Returns
-    the slot of the whole-text suffix when position 1 starts a run, else
-    None.
+    runs is the record array of derive_runs.  bases maps the integer key
+    of each periodic leaf label to the output offset of its block, and
+    lce answers the tail comparisons.  Returns the slot of the
+    whole-text suffix when position 1 starts a run, else None.
     """
-    if not runs:
+    if not len(runs):
         return None
     n = pt.n
     cap = 3 * tau - 1
-    uniq_e = sorted({r.e for r in runs})
+    uniq_e = np.unique(runs.e).tolist()
     body = [e for e in uniq_e if e <= n]
 
     def cmp(ea, eb):
@@ -267,18 +251,13 @@ def correct_periodic(pt, tau, runs, bwt, bases, roots, lce):
     tr = {e: i for i, e in enumerate(ordered)}
 
     m = len(runs)
-    rid = np.array([r.lroot_id for r in runs], dtype=np.int64)
-    typ = np.array([r.type for r in runs], dtype=np.int64)
-    dlt = np.array([r.lsig[0] for r in runs], dtype=np.int64)
-    kk = np.array([r.lsig[1] for r in runs], dtype=np.int64)
-    u2 = np.array([r.lsig[2] for r in runs], dtype=np.int64)
-    tailr = np.array([tr[r.e] for r in runs], dtype=np.int64)
-    x = dlt + kk * np.array([len(roots[r.lroot_id]) for r in runs],
-                            dtype=np.int64)
+    rid, typ, dlt, kk, u2 = runs.root, runs.type, runs.delta, runs.k, runs.u2
+    tailr = np.array([tr[e] for e in runs.e.tolist()], dtype=np.int64)
+    x = dlt + kk * runs.p
     rprime = np.zeros(m, dtype=np.int64)
 
-    for root_val in np.unique(rid):
-        p = len(roots[int(root_val)])
+    for root_val, at in zip(*np.unique(rid, return_index=True)):
+        p = int(runs.p[at])
         for sign in (-1, 1):
             grp = np.nonzero((rid == root_val) & (typ == sign))[0]
             if not len(grp):
@@ -327,19 +306,19 @@ def correct_periodic(pt, tau, runs, bwt, bases, roots, lce):
     if cap * pt.bits_per_symbol > 62:
         raise AssertionError("periodic block labels wider than one key")
     # a run start's window is full: the run covers 3tau-1 symbols from it
-    j0 = np.array([r.j - 1 for r in runs], dtype=np.int64)
+    j0 = runs.j - 1
     leaf_keys = pack_columns(
         ((pt.symbols[j0 + t], pt.sigma) for t in range(cap)), m)[0]
     primary_slot = None
-    for i, r in enumerate(runs):
-        key = int(leaf_keys[i])
+    for key, j, rp in zip(leaf_keys.tolist(), runs.j.tolist(),
+                          rprime.tolist()):
         if key not in bases:
-            raise AssertionError("no block recorded for run at %d" % r.j)
-        slot = bases[key] + int(rprime[i])
-        if r.j == 1:
+            raise AssertionError("no block recorded for run at %d" % j)
+        slot = bases[key] + rp
+        if j == 1:
             primary_slot = slot
         else:
-            bwt[slot - 1] = pt.char_at(r.j - 1)
+            bwt[slot - 1] = pt.symbols[j - 2]
     return primary_slot
 
 
@@ -375,10 +354,10 @@ def build_bwt(pt, tau=None, force_naive=False):
     s = construct(pt, tau, mode="random", seed=0)
     order = sort_sync_suffixes(pt, s)
     bwt, bases, primary = _emit_blocks(pt, tau, s, order)
-    runs, roots = derive_runs(pt, tau, s)
-    if runs:
+    runs, _ = derive_runs(pt, tau, s)
+    if len(runs):
         lce = LceIndex(pt, tau, sync=s, order=order)
-        slot = correct_periodic(pt, tau, runs, bwt, bases, roots, lce)
+        slot = correct_periodic(pt, tau, runs, bwt, bases, lce)
         if slot is not None:
             if primary is not None:
                 raise AssertionError("whole-text suffix placed twice")

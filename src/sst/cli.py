@@ -96,7 +96,7 @@ def cmd_sync(args):
             print("structure violation: set header (tau=%d n=%d) does not "
                   "match the text (tau=%d n=%d)" % (s.tau, s.n, tau, pt.n))
             return 1
-        report = validate_sync_set(pt, tau, s, seed=args.seed)
+        report = validate_sync_set(pt, tau, s)
         if report.ok:
             print("valid")
             return 0

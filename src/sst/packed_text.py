@@ -23,7 +23,7 @@ class PackedText:
     """Packed representation of a text plus small derived caches."""
 
     __slots__ = ("words", "n", "sigma", "bits_per_symbol", "symbols",
-                 "_wlist", "_period_memo")
+                 "_wlist")
 
     def __init__(self, words, n, sigma, bits_per_symbol, symbols):
         self.words = words
@@ -34,7 +34,6 @@ class PackedText:
         self.symbols = symbols
         # plain ints are faster than numpy scalars in the query hot paths
         self._wlist = [int(w) for w in words] + [0, 0]
-        self._period_memo = {}
 
     def __len__(self):
         return self.n
@@ -219,42 +218,33 @@ def _read_words(words, last, pos):
     return (words[w] >> off) | (hi << (np.uint64(63) - off) << np.uint64(1))
 
 
-def substring_period(pt, i, length):
-    """Smallest period of T[i..i+length).
+def short_periods(pt, starts, length, pmax):
+    """Smallest period p <= pmax of each T[i..i+length), 0 if none.
 
-    The period p of a string X is the smallest p >= 1 with X[t] = X[t+p]
-    for all valid t; per("aabaab") = 3, per("abc") = 3, per("aaaa") = 1.
+    One lcp_fragments_many pass per candidate p: the fragment has period
+    p exactly when T[i..] and T[i+p..] share their first length - p
+    symbols.  A period of X is the smallest p >= 1 with X[t] = X[t+p]
+    wherever both sides exist, and every X has period |X|.
+
+    >>> pt = pack([0, 1, 0, 1, 0, 1, 1, 0], 2)
+    >>> short_periods(pt, [1, 2, 4, 5], 4, 2).tolist()
+    [2, 2, 0, 0]
     """
-    if length < 1 or i < 1 or i + length - 1 > pt.n:
-        raise IndexError("substring [%d..%d) out of range" % (i, i + length))
-    memo_key = None
-    if length * pt.bits_per_symbol <= 22:
-        memo_key = (length, extract(pt, i, length).value)
-        hit = pt._period_memo.get(memo_key)
-        if hit is not None:
-            return hit
-    frag = pt.symbols[i - 1:i - 1 + length]
-    per = period_of(frag)
-    if memo_key is not None:
-        pt._period_memo[memo_key] = per
-    return per
-
-
-def period_of(seq):
-    """Smallest period of an explicit symbol sequence (failure function)."""
-    m = len(seq)
-    if m == 0:
-        raise ValueError("empty string has no period")
-    fail = [0] * m
-    k = 0
-    for q in range(1, m):
-        c = seq[q]
-        while k > 0 and seq[k] != c:
-            k = fail[k - 1]
-        if seq[k] == c:
-            k += 1
-        fail[q] = k
-    return m - fail[m - 1]
+    starts = np.asarray(starts, dtype=np.int64)
+    if length < 1:
+        raise ValueError("empty fragments have no period")
+    if np.any((starts < 1) | (starts + length - 1 > pt.n)):
+        raise IndexError("fragment out of range")
+    out = np.zeros(len(starts), dtype=np.int64)
+    act = np.arange(len(starts))
+    for p in range(1, min(pmax, length - 1) + 1):
+        i = starts[act]
+        hit = lcp_fragments_many(pt, i, i + p, length - p) == length - p
+        out[act[hit]] = p
+        act = act[~hit]
+    if pmax >= length:
+        out[act] = length
+    return out
 
 
 def bulk_keys(pt, length, start=1, stop=None):
@@ -278,7 +268,8 @@ def bulk_keys(pt, length, start=1, stop=None):
 
 
 def pack_columns(fields, count):
-    """Mixed-radix keys of `count` rows as a list of int64 columns.
+    """Mixed-radix keys of `count` rows as a list of int64 columns; count
+    may also be an array shape that the values broadcast to.
 
     fields yields (values, radix) pairs, most significant first, with
     0 <= values < radix.  Consecutive fields share a column while the

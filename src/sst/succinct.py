@@ -48,12 +48,6 @@ class RankBitvector:
     def __len__(self):
         return self.n
 
-    def get(self, i):
-        """Bit at 1-based position i."""
-        if not 1 <= i <= self.n:
-            raise IndexError("bit index out of range")
-        return (self._wlist[(i - 1) >> 6] >> ((i - 1) & 63)) & 1
-
     def rank1(self, i):
         """Number of ones among the first i bits; rank1(0) = 0."""
         if not 0 <= i <= self.n:
@@ -63,14 +57,6 @@ class RankBitvector:
         if r:
             base += (self._wlist[w] & ((1 << r) - 1)).bit_count()
         return base
-
-    def rank0(self, i):
-        return i - self.rank1(i)
-
-    @property
-    def aux_bits(self):
-        """Directory size in bits, excluding the raw payload."""
-        return 64 * len(self._super) + 16 * len(self._offsets)
 
 
 def count_inversions_bits(bits):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .packed_text import dense_ranks, pack_columns, substring_period
+from .packed_text import dense_ranks, pack_columns
 from .succinct import RankBitvector
 from .suffix_core import SuffixArrayIndex
 
@@ -178,15 +178,6 @@ class SyncSet:
                 bits[self.positions - 1] = 1
             self._rank = RankBitvector(bits)
         return self._rank
-
-    def succ(self, i):
-        """Smallest member >= i, or the sentinel n-2tau+2 if none."""
-        if not 1 <= i <= self.sentinel:
-            raise IndexError("succ argument out of range")
-        r = self.rank_structure().rank1(i - 1)
-        if r == len(self.positions):
-            return self.sentinel
-        return int(self.positions[r])
 
 
 def construct_from_ids(pt, tau, ids, psets=None):
@@ -460,23 +451,21 @@ class ValidationReport:
     condition: str = None
     witness: tuple = None
     message: str = ""
-    probabilistic: bool = False
 
     def __bool__(self):
         return self.ok
 
 
-_EXACT_LIMIT = 100_000
-_SAMPLE = 50_000
+def validate_sync_set(pt, tau, s):
+    """Check the consistency and density conditions exactly.
 
-
-def validate_sync_set(pt, tau, s, exact=None, seed=0):
-    """Check the consistency and density conditions.
-
-    Texts with at most 100000 windows are checked exhaustively; larger
-    ones are spot-checked on a seeded sample and the report is marked
-    probabilistic.  The witness is (i, j) for a consistency violation
-    (equal contexts, unequal membership) and (i,) for a density one.
+    Every window is checked, at every size: consistency by grouping all
+    starts by their 2tau-context, density by comparing each window's
+    emptiness with the highly periodic set.  The report names the first
+    violation.  Its witness is (i, j) for a consistency violation: the
+    first member and the first non-member with the lexicographically
+    smallest offending 2tau-context.  It is (i,) for a density violation:
+    the leftmost offending window.
     """
     n = pt.n
     if tau < 1 or 2 * tau > n:
@@ -489,18 +478,8 @@ def validate_sync_set(pt, tau, s, exact=None, seed=0):
         return ValidationReport(
             False, "structure", None,
             "positions must be strictly increasing within [1..n-2tau+1]")
-    if exact is None:
-        exact = nmem <= _EXACT_LIMIT
     member = np.zeros(nmem, dtype=bool)
     member[pos - 1] = True
-    if exact:
-        return _validate_exact(pt, tau, member)
-    return _validate_sampled(pt, tau, member, seed)
-
-
-def _validate_exact(pt, tau, member):
-    n = pt.n
-    nmem = len(member)
     inv = _fragment_classes(pt, 2 * tau, nmem)
     ngroups = int(inv.max()) + 1 if nmem else 0
     hits = np.bincount(inv, weights=member, minlength=ngroups)
@@ -531,45 +510,6 @@ def _validate_exact(pt, tau, member):
                 % (i, i + tau, "misses" if empty[bad[0]] else "meets", i,
                    "" if want_empty[bad[0]] else "not "))
     return ValidationReport(True, message="synchronizing set is valid")
-
-
-def _validate_sampled(pt, tau, member, seed):
-    n = pt.n
-    nmem = len(member)
-    rng = np.random.default_rng(seed)
-    pos = np.nonzero(member)[0] + 1
-    take = min(_SAMPLE, len(pos))
-    sample = rng.choice(pos, size=take, replace=False) if take else pos
-    others = rng.integers(1, nmem + 1, size=_SAMPLE)
-    probe = np.unique(np.concatenate([sample, others]))
-    classes = _fragment_classes(pt, 2 * tau, nmem)
-    keys = {}
-    for i in probe:
-        k = int(classes[i - 1])
-        prev = keys.get(k)
-        if prev is None:
-            keys[k] = int(i)
-        elif member[prev - 1] != member[i - 1]:
-            pair = (prev, int(i)) if member[prev - 1] else (int(i), prev)
-            return ValidationReport(
-                False, "consistency", pair,
-                "equal 2tau-contexts with unequal membership",
-                probabilistic=True)
-    nr = n - 3 * tau + 2
-    starts = np.unique(rng.integers(1, nr + 1, size=_SAMPLE)) if nr > 0 else []
-    csum = np.zeros(nmem + 1, dtype=np.int64)
-    np.cumsum(member.astype(np.int64), out=csum[1:])
-    for i in starts:
-        i = int(i)
-        empty = csum[min(i + tau - 1, nmem)] - csum[i - 1] == 0
-        periodic = 3 * substring_period(pt, i, 3 * tau - 1) <= tau
-        if empty != periodic:
-            return ValidationReport(
-                False, "density", (i,),
-                "window emptiness disagrees with periodicity at %d" % i,
-                probabilistic=True)
-    return ValidationReport(
-        True, message="sampled checks passed", probabilistic=True)
 
 
 def save_sync_set(s, path):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packed_text import dense_ranks, pack_columns, substring_period
+from .packed_text import dense_ranks, pack_columns, short_periods
 from .suffix_core import SuffixArrayIndex, build_suffix_array
 
 
@@ -34,29 +34,47 @@ class TPrimeString:
         return len(self.symbols)
 
 
-def compute_d_values(pt, tau, positions):
-    """Tie-breaker d for each position, given the next one in the set."""
+def find_runs(pt, tau, positions):
+    """The highly periodic runs across gaps longer than tau, as arrays.
+
+    Consecutive members a < b of the set, with 0 before the first and
+    the sentinel n-2tau+2 after the last, more than tau apart bound a
+    run T[j..e) with j = a+1 and e = b+2tau-1: by density T[j..j+3tau-1)
+    has period p <= tau/3, and p extends to the break at e.  type is +1
+    when T[e] > T[e-p] and -1 when e > n or T[e] < T[e-p].  prev is the
+    index of member a in the set, -1 for the run before the first member.
+    """
     n = pt.n
     sp = np.asarray(positions, dtype=np.int64)
-    m = len(sp)
-    d = np.zeros(m, dtype=np.int64)
-    if m == 0:
-        return d
-    nxt = np.empty(m, dtype=np.int64)
-    nxt[:-1] = sp[1:]
-    nxt[-1] = n - 2 * tau + 2
-    gaps = nxt - sp
-    for i in np.nonzero(gaps > tau)[0]:
-        s = int(sp[i])
-        p = substring_period(pt, s + 1, 3 * tau - 1)
-        if 3 * p > tau:
-            raise AssertionError(
-                "gap > tau outside a highly periodic run at %d" % s)
-        c = int(nxt[i]) + 2 * tau - 1
-        if c <= n and pt.char_at(c) > pt.char_at(c - p):
-            d[i] = n - int(gaps[i])
-        else:
-            d[i] = int(gaps[i]) - n
+    prev = np.concatenate([[0], sp])
+    nxt = np.concatenate([sp, [n - 2 * tau + 2]])
+    row = np.flatnonzero(nxt - prev > tau)
+    j = prev[row] + 1
+    e = nxt[row] + 2 * tau - 1
+    p = short_periods(pt, j, 3 * tau - 1, tau // 3)
+    if np.any(p == 0):
+        raise AssertionError("gap > tau outside a highly periodic run at %d"
+                             % (j[p == 0][0] - 1))
+    # e <= n + 1; past the text end the run has no break symbol
+    body = e <= n
+    at = np.minimum(e, n) - 1
+    after = pt.symbols[at].astype(np.int64)
+    before = pt.symbols[at - p].astype(np.int64)
+    if np.any(body & (after == before)):
+        raise AssertionError("no period break at %d"
+                             % e[body & (after == before)][0])
+    typ = np.where(body & (after > before), 1, -1)
+    return np.rec.fromarrays([row - 1, j, e, p, typ],
+                             names="prev,j,e,p,type")
+
+
+def compute_d_values(pt, tau, positions):
+    """Tie-breaker d for each position: type * (n - gap) where a run
+    starts right after it, 0 elsewhere."""
+    d = np.zeros(len(positions), dtype=np.int64)
+    runs = find_runs(pt, tau, positions)
+    runs = runs[runs.prev >= 0]
+    d[runs.prev] = runs.type * (pt.n - (runs.e - runs.j - 2 * tau + 2))
     return d
 
 

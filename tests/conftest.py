@@ -5,6 +5,7 @@ sample counts; the default desk profile keeps the same checks at
 reduced scale so the whole suite stays fast.
 """
 
+import functools
 import os
 import random
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from sst.packed_text import pack
+from sst.sync_set import SyncSet, compute_q_and_b, construct
 
 
 def full_profile():
@@ -51,6 +53,39 @@ def periodic_mosaic(rng, n, sigma):
         else:
             out.extend(random_text(rng, rng.randrange(1, 30), sigma))
     return out[:n]
+
+
+@functools.lru_cache(maxsize=1)
+def large_tampered_sets():
+    """A sigma=4 text A B A of more than 100 000 windows at tau=16, two
+    tamperings of a valid set on it, and the witness each must report.
+
+    Dropping a member whose neighbours lie more than tau apart empties
+    the windows from max(prev + 1, member - tau + 1) on, and the text has
+    no highly periodic window, so the first of them is the density
+    witness.  2tau-contexts repeat only between the copies of A, so
+    dropping a member q of the second copy leaves its twin in the first
+    as the one member of q's context: the consistency witness is
+    (twin, q).
+    """
+    rng = random.Random(2019)
+    tau = 16
+    a, b = random_text(rng, 2000, 4), random_text(rng, 110_000, 4)
+    seq = a + b + a
+    pt = pack(seq, 4)
+    if compute_q_and_b(pt, tau).q.any():
+        raise ValueError("the text has a highly periodic window")
+    s = construct(pt, tau, mode="random", seed=0)
+    pos = s.positions
+    k = next(k for k in range(1, len(pos) - 1)
+             if pos[k] > 3000 and pos[k + 1] - pos[k - 1] > tau)
+    dropped = SyncSet(tau, pt.n, np.delete(pos, k))
+    density = (max(int(pos[k - 1]) + 1, int(pos[k]) - tau + 1),)
+    shift = len(a) + len(b)
+    q = next(k for k in range(len(pos)) if pos[k] > shift)
+    flipped = SyncSet(tau, pt.n, np.delete(pos, q))
+    consistency = (int(pos[q]) - shift, int(pos[q]))
+    return seq, tau, s, (dropped, density), (flipped, consistency)
 
 
 def all_binary_texts(n):

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from sst.bwt_builder import (build_bwt, count_freq, derive_runs, invert_bwt,
                              offline_range_count, read_bwt, write_bwt)
-from sst.packed_text import extract, pack, substring_period
+from sst.packed_text import extract, pack
 from sst.sync_set import construct
-from sst.reference_oracles import naive_bwt
+from sst.reference_oracles import naive_bwt, naive_period
 
 from conftest import (all_binary_texts, fibonacci_word, full_profile,
                       periodic_mosaic, random_text, thue_morse)
@@ -157,20 +157,54 @@ def test_offline_range_count_property(points, queries):
         assert cnt == sum(1 for x, y in points if x >= xmin and y <= ymax)
 
 
-def test_derive_runs_structure():
-    seq = [1, 0, 1] + [0, 1] * 20 + [1, 1, 0, 0, 1, 0, 1, 1, 0]
-    pt = pack(seq, 2)
-    tau = 6
-    s = construct(pt, tau, mode="fast")
-    runs, roots = derive_runs(pt, tau, s)
-    assert runs
-    for run in runs:
-        # run start is highly periodic and the root id indexes a
-        # primitive minimal rotation
-        p = substring_period(pt, run.j, 3 * tau - 1)
+def _brute_runs(seq, tau, positions):
+    # (j, e, p, type, delta, k, u2) and the root word of each gap longer
+    # than tau, with the run extended symbol by symbol to its break
+    n = len(seq)
+    prev = [0] + list(positions)
+    nxt = list(positions) + [n - 2 * tau + 2]
+    out = []
+    for a, b in zip(prev, nxt):
+        if b - a <= tau:
+            continue
+        j = a + 1
+        p = naive_period(seq[j - 1:j + 3 * tau - 2])
         assert 3 * p <= tau
-        assert 0 <= run.lroot_id < len(roots)
-        assert run.type in (-1, 1)
+        e = j + p
+        while e <= n and seq[e - 1] == seq[e - 1 - p]:
+            e += 1
+        typ = 1 if e <= n and seq[e - 1] > seq[e - 1 - p] else -1
+        word = seq[j - 1:j - 1 + p]
+        rots = [word[r:] + word[:r] for r in range(p)]
+        delta = rots.index(min(rots))
+        k, u2 = divmod(e - j - delta, p)
+        out.append(((j, e, p, typ, delta, k, u2), tuple(min(rots))))
+    return out
+
+
+def test_derive_runs_structure():
+    # periodic heads and tails around mosaics: a run before the first
+    # member, and a run whose end lies past the text
+    rng = random.Random(6)
+    for sigma, tau, head, tail in ((2, 9, [0, 1], [0, 0, 1]),
+                                   (2, 6, [1], [1, 0]),
+                                   (4, 6, [3, 1], [2])):
+        for _ in range(4):
+            seq = (head * 30 + periodic_mosaic(rng, rng.randrange(100, 600),
+                                               sigma) + tail * 30)
+            pt = pack(seq, sigma)
+            s = construct(pt, tau, mode="random")
+            runs, roots = derive_runs(pt, tau, s)
+            want = _brute_runs(seq, tau, s.positions)
+            got = [tuple(int(r[f]) for f in ("j", "e", "p", "type", "delta",
+                                              "k", "u2")) for r in runs]
+            assert got == [w for w, _ in want]
+            assert [roots[r] for r in runs.root] == [w for _, w in want]
+            # ids number the distinct roots in order of first appearance
+            ids = runs.root.tolist()
+            assert list(dict.fromkeys(ids)) == list(range(len(roots)))
+            assert len(set(roots)) == len(roots)
+            assert runs.j[0] == 1 and runs.e[-1] == len(seq) + 1
 
 
 def test_round_trip_random(rng):

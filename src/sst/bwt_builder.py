@@ -131,39 +131,48 @@ def _emit_blocks(pt, tau, s, order):
     return bwt, dict(zip(labels.tolist(), starts.tolist())), primary
 
 
+# one row per periodic run, as derive_runs describes
+RUN = np.dtype([(f, np.int64) for f in
+                ("j", "e", "p", "type", "root", "delta", "k", "u2")])
+
+
 def derive_runs(pt, tau, s):
     """The periodic runs of find_runs, each with its Lyndon root.
 
-    Returns a record array with one row per run and the root words by
-    root id.  Besides the fields of find_runs a row holds root, the id
-    of the run's root U, the smallest rotation of its period word
-    T[j..j+p); delta, the rotation with T[j+delta..j+delta+p) = U; and
-    k and u2 with e - j = delta + k*p + u2, 0 <= u2 < p.  Ids number the
-    distinct roots in order of first appearance.
+    Returns a RUN array with one row per run, and the root words by
+    root id.  Besides j, e, p and type from find_runs a row holds root,
+    the id of the run's root U, the smallest rotation of its period
+    word T[j..j+p); delta, the rotation with T[j+delta..j+delta+p) = U;
+    and k and u2 with e - j = delta + k*p + u2, 0 <= u2 < p.  Ids number
+    the distinct roots in order of first appearance.
     """
-    runs = find_runs(pt, tau, s.positions)
-    m, j0, p = len(runs), runs.j - 1, runs.p
-    pm = int(p.max(initial=1))
+    _, j, e, p, typ = find_runs(pt, tau, s.positions)
+    m = len(j)
+    if not m:
+        return np.empty(0, dtype=RUN), []
+    pm = int(p.max())
     # rotation r < p starts at j+r; its first pm >= p symbols order it as
     # its p symbols do, since the run repeats the period word past them,
     # and with p they name the root.  pm <= tau/3 keeps them in the run.
     r = np.arange(pm)[:, None]
-    rot = pack_columns(((pt.symbols[j0 + r + t], pt.sigma)
+    rot = pack_columns(((pt.symbols[j - 1 + r + t], pt.sigma)
                         for t in range(pm)), (pm, m))[0]
     rot[r >= p] = pt.sigma ** pm
     delta = rot.argmin(axis=0)
-    k, u2 = np.divmod(runs.e - runs.j - delta, p)
+    k, u2 = np.divmod(e - j - delta, p)
     if np.any(k < 1):
         raise AssertionError("run at %d shorter than its period"
-                             % runs.j[k < 1][0])
+                             % j[k < 1][0])
     _, first, inv = np.unique(rot[delta, np.arange(m)] * (pm + 1) + p,
                               return_index=True, return_inverse=True)
     seen = np.sort(first)
     roots = [tuple(pt.symbols[a:a + q].tolist())
-             for a, q in zip((j0 + delta)[seen], p[seen])]
-    return np.rec.fromarrays(
-        [runs.prev, runs.j, runs.e, p, runs.type, dense_ranks([first[inv]]),
-         delta, k, u2], names="prev,j,e,p,type,root,delta,k,u2"), roots
+             for a, q in zip((j - 1 + delta)[seen], p[seen])]
+    runs = np.empty(m, dtype=RUN)
+    for name, col in zip(RUN.names, (j, e, p, typ, dense_ranks([first[inv]]),
+                                     delta, k, u2)):
+        runs[name] = col
+    return runs, roots
 
 
 def offline_range_count(points, queries):
@@ -226,7 +235,7 @@ def _ramp_sum(tables, kq):
 def correct_periodic(pt, tau, runs, bwt, bases, lce):
     """Patch the run-start slots of the filled blocks, in place.
 
-    runs is the record array of derive_runs.  bases maps the integer key
+    runs is the RUN array of derive_runs.  bases maps the integer key
     of each periodic leaf label to the output offset of its block, and
     lce answers the tail comparisons.  Returns the slot of the
     whole-text suffix when position 1 starts a run, else None.
@@ -235,7 +244,7 @@ def correct_periodic(pt, tau, runs, bwt, bases, lce):
         return None
     n = pt.n
     cap = 3 * tau - 1
-    uniq_e = np.unique(runs.e).tolist()
+    uniq_e = np.unique(runs["e"]).tolist()
     body = [e for e in uniq_e if e <= n]
 
     def cmp(ea, eb):
@@ -251,13 +260,14 @@ def correct_periodic(pt, tau, runs, bwt, bases, lce):
     tr = {e: i for i, e in enumerate(ordered)}
 
     m = len(runs)
-    rid, typ, dlt, kk, u2 = runs.root, runs.type, runs.delta, runs.k, runs.u2
-    tailr = np.array([tr[e] for e in runs.e.tolist()], dtype=np.int64)
-    x = dlt + kk * runs.p
+    rid, typ, dlt, kk, u2 = (runs[f] for f in
+                             ("root", "type", "delta", "k", "u2"))
+    tailr = np.array([tr[e] for e in runs["e"].tolist()], dtype=np.int64)
+    x = dlt + kk * runs["p"]
     rprime = np.zeros(m, dtype=np.int64)
 
     for root_val, at in zip(*np.unique(rid, return_index=True)):
-        p = int(runs.p[at])
+        p = int(runs["p"][at])
         for sign in (-1, 1):
             grp = np.nonzero((rid == root_val) & (typ == sign))[0]
             if not len(grp):
@@ -306,11 +316,11 @@ def correct_periodic(pt, tau, runs, bwt, bases, lce):
     if cap * pt.bits_per_symbol > 62:
         raise AssertionError("periodic block labels wider than one key")
     # a run start's window is full: the run covers 3tau-1 symbols from it
-    j0 = runs.j - 1
+    j0 = runs["j"] - 1
     leaf_keys = pack_columns(
         ((pt.symbols[j0 + t], pt.sigma) for t in range(cap)), m)[0]
     primary_slot = None
-    for key, j, rp in zip(leaf_keys.tolist(), runs.j.tolist(),
+    for key, j, rp in zip(leaf_keys.tolist(), runs["j"].tolist(),
                           rprime.tolist()):
         if key not in bases:
             raise AssertionError("no block recorded for run at %d" % j)

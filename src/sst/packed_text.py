@@ -221,10 +221,10 @@ def _read_words(words, last, pos):
 def short_periods(pt, starts, length, pmax):
     """Smallest period p <= pmax of each T[i..i+length), 0 if none.
 
-    One lcp_fragments_many pass per candidate p: the fragment has period
-    p exactly when T[i..] and T[i+p..] share their first length - p
-    symbols.  A period of X is the smallest p >= 1 with X[t] = X[t+p]
-    wherever both sides exist, and every X has period |X|.
+    A period of X is the smallest p >= 1 with X[t] = X[t+p] wherever
+    both sides exist, and every X has period |X|.  One pass per
+    candidate p compares the packed words of T[i..i+length-p) and
+    T[i+p..i+length) for all starts at once.
 
     >>> pt = pack([0, 1, 0, 1, 0, 1, 1, 0], 2)
     >>> short_periods(pt, [1, 2, 4, 5], 4, 2).tolist()
@@ -235,15 +235,23 @@ def short_periods(pt, starts, length, pmax):
         raise ValueError("empty fragments have no period")
     if np.any((starts < 1) | (starts + length - 1 > pt.n)):
         raise IndexError("fragment out of range")
+    b = pt.bits_per_symbol
+    words, last = pt.words, len(pt.words) - 1
+    pos = (starts - 1) * b
     out = np.zeros(len(starts), dtype=np.int64)
-    act = np.arange(len(starts))
-    for p in range(1, min(pmax, length - 1) + 1):
-        i = starts[act]
-        hit = lcp_fragments_many(pt, i, i + p, length - p) == length - p
-        out[act[hit]] = p
-        act = act[~hit]
+    # descending, so that the smallest period is written last
+    for p in range(min(pmax, length - 1), 0, -1):
+        same = np.ones(len(starts), dtype=bool)
+        bits = (length - p) * b
+        for off in range(0, bits, WORD_BITS):
+            diff = (_read_words(words, last, pos + off)
+                    ^ _read_words(words, last, pos + p * b + off))
+            if bits - off < WORD_BITS:
+                diff &= np.uint64((1 << (bits - off)) - 1)
+            same &= diff == 0
+        out[same] = p
     if pmax >= length:
-        out[act] = length
+        out[out == 0] = length
     return out
 
 

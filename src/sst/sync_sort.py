@@ -40,15 +40,18 @@ def find_runs(pt, tau, positions):
     Consecutive members a < b of the set, with 0 before the first and
     the sentinel n-2tau+2 after the last, more than tau apart bound a
     run T[j..e) with j = a+1 and e = b+2tau-1: by density T[j..j+3tau-1)
-    has period p <= tau/3, and p extends to the break at e.  type is +1
-    when T[e] > T[e-p] and -1 when e > n or T[e] < T[e-p].  prev is the
-    index of member a in the set, -1 for the run before the first member.
+    has period p <= tau/3, and p extends to the break at e.  Returns
+    (prev, j, e, p, type), one entry per run: prev is the index of
+    member a in the set, -1 for the run before the first member, and
+    type is +1 when T[e] > T[e-p] and -1 when e > n or T[e] < T[e-p].
     """
     n = pt.n
     sp = np.asarray(positions, dtype=np.int64)
     prev = np.concatenate([[0], sp])
     nxt = np.concatenate([sp, [n - 2 * tau + 2]])
     row = np.flatnonzero(nxt - prev > tau)
+    if not len(row):
+        return (row,) * 5
     j = prev[row] + 1
     e = nxt[row] + 2 * tau - 1
     p = short_periods(pt, j, 3 * tau - 1, tau // 3)
@@ -63,18 +66,16 @@ def find_runs(pt, tau, positions):
     if np.any(body & (after == before)):
         raise AssertionError("no period break at %d"
                              % e[body & (after == before)][0])
-    typ = np.where(body & (after > before), 1, -1)
-    return np.rec.fromarrays([row - 1, j, e, p, typ],
-                             names="prev,j,e,p,type")
+    return row - 1, j, e, p, np.where(body & (after > before), 1, -1)
 
 
 def compute_d_values(pt, tau, positions):
     """Tie-breaker d for each position: type * (n - gap) where a run
     starts right after it, 0 elsewhere."""
     d = np.zeros(len(positions), dtype=np.int64)
-    runs = find_runs(pt, tau, positions)
-    runs = runs[runs.prev >= 0]
-    d[runs.prev] = runs.type * (pt.n - (runs.e - runs.j - 2 * tau + 2))
+    prev, j, e, _, typ = find_runs(pt, tau, positions)
+    after = prev >= 0
+    d[prev[after]] = (typ * (pt.n - (e - j - 2 * tau + 2)))[after]
     return d
 
 

@@ -199,12 +199,12 @@ def test_derive_runs_structure():
             got = [tuple(int(r[f]) for f in ("j", "e", "p", "type", "delta",
                                               "k", "u2")) for r in runs]
             assert got == [w for w, _ in want]
-            assert [roots[r] for r in runs.root] == [w for _, w in want]
+            assert [roots[r] for r in runs["root"]] == [w for _, w in want]
             # ids number the distinct roots in order of first appearance
-            ids = runs.root.tolist()
+            ids = runs["root"].tolist()
             assert list(dict.fromkeys(ids)) == list(range(len(roots)))
             assert len(set(roots)) == len(roots)
-            assert runs.j[0] == 1 and runs.e[-1] == len(seq) + 1
+            assert runs["j"][0] == 1 and runs["e"][-1] == len(seq) + 1
 
 
 def test_round_trip_random(rng):

@@ -70,8 +70,9 @@ def find_runs(pt, tau, positions):
 
 
 def compute_d_values(pt, tau, positions):
-    """Tie-breaker d for each position: type * (n - gap) where a run
-    starts right after it, 0 elsewhere."""
+    """Tie-breaker d for each position: type * (n - g) where a run of
+    find_runs starts right after it, g the distance to the next member
+    or the sentinel, and 0 elsewhere."""
     d = np.zeros(len(positions), dtype=np.int64)
     prev, j, e, _, typ = find_runs(pt, tau, positions)
     after = prev >= 0

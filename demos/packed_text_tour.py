@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from sst.packed_text import (bulk_keys, extract, lcp_fragments, pack,
-                             short_periods)
+from sst.packed_text import lcp_fragments, pack, short_periods, window_keys
 
 # pack stores ceil(log2 sigma) bits per symbol inside 64-bit words
 text = "abaababaabaab"
@@ -13,16 +12,21 @@ print("text   ", text)
 print("n=%d sigma=%d bits_per_symbol=%d words=%d"
       % (pt.n, pt.sigma, pt.bits_per_symbol, len(pt.words)))
 
-# extract returns an integer key that orders like the substring itself
-for i in (1, 2, 4):
-    key = extract(pt, i, 5)
-    print("key of T[%d..%d) = %d  (%s)" % (i, i + 5, key.value, text[i - 1:i + 4]))
-assert extract(pt, 1, 5).value < extract(pt, 2, 5).value  # "abaab" < "baaba"
+# window_keys gives base-sigma keys that order like the windows themselves
+(keys,) = window_keys(pt, 5, [1, 2, 4])
+for i, key in zip((1, 2, 4), keys.tolist()):
+    print("key of T[%d..%d) = %d  (%s)" % (i, i + 5, key, text[i - 1:i + 4]))
+assert keys[0] < keys[1]  # "abaab" < "baaba"
 
-# bulk_keys computes every window key in one vectorised pass
-keys = bulk_keys(pt, 3)
+# a count k asks for the windows at 1..k, built by key doubling in
+# floor(log2 length) + popcount(length) passes; a window that runs past
+# n reads zeros there
+(keys,) = window_keys(pt, 3, pt.n - 2)
 order = np.argsort(keys, kind="stable") + 1
 print("3-windows sorted:", [text[i - 1:i + 2] for i in order[:5]], "...")
+
+# a window wider than one 62-bit column comes as several columns
+print("columns of a 100-symbol window:", len(window_keys(pt, 100, [1])))
 
 # fragment LCP compares word-sized chunks, so long matches are cheap
 hit = lcp_fragments(pt, 1, 4, cap=8)

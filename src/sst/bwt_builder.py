@@ -24,11 +24,11 @@ from functools import cmp_to_key
 import numpy as np
 
 from .lce_index import LceIndex, default_tau
-from .packed_text import (bulk_keys, dense_ranks, pack_columns, short_periods,
-                          sort_rows)
+from .packed_text import (dense_ranks, pack_columns, short_periods, sort_rows,
+                          window_keys, window_radices)
 from .suffix_core import SuffixArrayIndex
 from .sync_set import construct
-from .sync_sort import find_runs, sort_sync_suffixes
+from .sync_sort import sort_sync_suffixes
 
 
 class BwtResult:
@@ -61,9 +61,6 @@ class FreqTable:
             return int(self.counts[i])
         return 0
 
-    def total(self):
-        return int(np.sum(self.counts))
-
 
 def count_freq(pt, ell):
     """Frequency table of the length-ell substrings; ell * bits <= 62."""
@@ -72,7 +69,10 @@ def count_freq(pt, ell):
     if ell > pt.n:
         return FreqTable(ell, np.zeros(0, dtype=np.int64),
                          np.zeros(0, dtype=np.int64))
-    u, c = np.unique(bulk_keys(pt, ell), return_counts=True)
+    if ell * pt.bits_per_symbol > 62:
+        raise ValueError("frequency keys limited to 62 bits")
+    keys = window_keys(pt, ell, pt.n - ell + 1)[0]
+    u, c = np.unique(keys, return_counts=True)
     return FreqTable(ell, u, c.astype(np.int64))
 
 
@@ -86,8 +86,7 @@ def _sort_keys(pt, tau, s, order):
     """
     n = pt.n
     cap = 3 * tau - 1
-    sym = np.concatenate([pt.symbols, np.zeros(cap, dtype=np.int64)])
-    key = pack_columns(((sym[t:t + n], pt.sigma) for t in range(cap)), n)[0]
+    key = window_keys(pt, cap, n)[0]
     pos = np.arange(1, n + 1, dtype=np.int64)
     k = np.searchsorted(s.positions, pos)
     # past the last member the successor reads as n + tau, never near
@@ -103,13 +102,13 @@ def _emit_blocks(pt, tau, s, order):
     leaf label, and the slot of the whole-text suffix unless it lies in
     a periodic block, where only the run correction can place it.
     """
-    sigma = pt.sigma
     cap = 3 * tau - 1
     key, length, tie = _sort_keys(pt, tau, s, order)
     # rows tie only inside periodic blocks, whose slots are refilled with
     # the period symbol and then patched, so the sort need not be stable
     sa0 = sort_rows(pack_columns(
-        [(key, sigma ** cap), (length, cap + 1), (tie, len(s) + 1)], pt.n))
+        [(key, window_radices(pt.sigma, cap)[0]), (length, cap + 1),
+         (tie, len(s) + 1)], pt.n))
     bwt = pt.symbols[sa0 - 1].astype(np.int64)
 
     # far from every member, a full window is highly periodic (density):
@@ -136,8 +135,8 @@ RUN = np.dtype([(f, np.int64) for f in
                 ("j", "e", "p", "type", "root", "delta", "k", "u2")])
 
 
-def derive_runs(pt, tau, s):
-    """The periodic runs of find_runs, each with its Lyndon root.
+def derive_runs(pt, tprime):
+    """The periodic runs that build_tprime found, each with its Lyndon root.
 
     Returns a RUN array with one row per run, and the root words by
     root id.  Besides j, e, p and type from find_runs a row holds root,
@@ -146,7 +145,7 @@ def derive_runs(pt, tau, s):
     and k and u2 with e - j = delta + k*p + u2, 0 <= u2 < p.  Ids number
     the distinct roots in order of first appearance.
     """
-    _, j, e, p, typ = find_runs(pt, tau, s.positions)
+    _, j, e, p, typ = tprime.runs
     m = len(j)
     if not m:
         return np.empty(0, dtype=RUN), []
@@ -155,9 +154,8 @@ def derive_runs(pt, tau, s):
     # its p symbols do, since the run repeats the period word past them,
     # and with p they name the root.  pm <= tau/3 keeps them in the run.
     r = np.arange(pm)[:, None]
-    rot = pack_columns(((pt.symbols[j - 1 + r + t], pt.sigma)
-                        for t in range(pm)), (pm, m))[0]
-    rot[r >= p] = pt.sigma ** pm
+    rot = window_keys(pt, pm, (j + r).ravel())[0].reshape(pm, m)
+    rot[r >= p] = np.iinfo(np.int64).max
     delta = rot.argmin(axis=0)
     k, u2 = np.divmod(e - j - delta, p)
     if np.any(k < 1):
@@ -316,9 +314,7 @@ def correct_periodic(pt, tau, runs, bwt, bases, lce):
     if cap * pt.bits_per_symbol > 62:
         raise AssertionError("periodic block labels wider than one key")
     # a run start's window is full: the run covers 3tau-1 symbols from it
-    j0 = runs["j"] - 1
-    leaf_keys = pack_columns(
-        ((pt.symbols[j0 + t], pt.sigma) for t in range(cap)), m)[0]
+    leaf_keys = window_keys(pt, cap, runs["j"])[0]
     primary_slot = None
     for key, j, rp in zip(leaf_keys.tolist(), runs["j"].tolist(),
                           rprime.tolist()):
@@ -364,7 +360,7 @@ def build_bwt(pt, tau=None, force_naive=False):
     s = construct(pt, tau, mode="random", seed=0)
     order = sort_sync_suffixes(pt, s)
     bwt, bases, primary = _emit_blocks(pt, tau, s, order)
-    runs, _ = derive_runs(pt, tau, s)
+    runs, _ = derive_runs(pt, order.tprime)
     if len(runs):
         lce = LceIndex(pt, tau, sync=s, order=order)
         slot = correct_periodic(pt, tau, runs, bwt, bases, lce)

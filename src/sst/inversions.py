@@ -14,7 +14,7 @@ from collections import defaultdict
 import numpy as np
 
 from .bwt_builder import build_bwt, count_freq
-from .packed_text import extract, pack
+from .packed_text import pack, window_keys
 from .succinct import count_inversions_bits
 
 
@@ -112,8 +112,9 @@ def _blocks_small(rt, force_naive):
     bwt = np.asarray(res.bwt, dtype=np.int64)
     depth = 2 * k + 1
     fts = {d: count_freq(pt, d) for d in range(1, depth + 1)}
-    suffix_val = {d: extract(pt, n - d + 1, d).value
-                  for d in range(1, depth)}
+    # the last d bits are the tail window's key mod 2**d
+    tail = int(window_keys(pt, depth, [n - depth + 1])[0][0])
+    suffix_val = {d: tail & ((1 << d) - 1) for d in range(1, depth)}
     mask = (1 << (k + 2)) - 1
     want = (1 << (k + 1)) - 1
     blocks = {}
@@ -153,9 +154,9 @@ def _blocks_general(rt, force_naive):
     ft_ext = {ell: count_freq(pt, ell)
               for ell in range(logm + 2, 2 * logm + 2)}
     bump = defaultdict(int)
+    tail = int(window_keys(pt, logm, [n - logm + 1])[0][0])
     for ell in range(1, logm):
-        sval = extract(pt, n - ell + 1, ell).value
-        bump[sval << (logm - ell)] += 1
+        bump[(tail & ((1 << ell) - 1)) << (logm - ell)] += 1
     ones = (1 << logm) - 1
     blocks = {}
     cur = 0

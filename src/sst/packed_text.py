@@ -3,12 +3,12 @@
 A text T[1..n] over [0..sigma) is stored with ceil(log2 sigma) bits per
 symbol, packed into 64-bit words.  The first symbol occupies the least
 significant bits of the first word.  All positions in the public API are
-1-based; substring keys are base-sigma integers whose most significant
-digit is the first symbol, so comparing keys of equal-length substrings
-is the same as comparing the substrings lexicographically.
+1-based.  window_keys is the one encoder of substrings as keys: base-sigma
+integers whose most significant digit is the first symbol, zeros past the
+text end, split into int64 columns of at most 2**62, so comparing the
+keys of equal-length windows is the same as comparing the windows
+lexicographically.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,8 @@ class PackedText:
 
     @property
     def key_cap(self):
-        """Longest substring extractable as a single key."""
+        """Longest window that is ranked by its window keys, at most three
+        columns, rather than by suffix order."""
         return 128 // self.bits_per_symbol
 
     def char_at(self, i):
@@ -87,43 +88,6 @@ def pack(symbols, sigma):
     words = np.packbits(stream, bitorder="little").view("<u8")
     store = arr.astype(np.uint8 if sigma <= 256 else np.int64)
     return PackedText(words, n, sigma, bits, store)
-
-
-@dataclass(frozen=True)
-class SubstringKey:
-    """Base-sigma integer encoding of a fixed-length substring."""
-
-    value: int
-    length: int
-    sigma: int
-
-    def _check(self, other):
-        if self.length != other.length or self.sigma != other.sigma:
-            raise ValueError("keys of different shape are not comparable")
-
-    def __lt__(self, other):
-        self._check(other)
-        return self.value < other.value
-
-    def __le__(self, other):
-        self._check(other)
-        return self.value <= other.value
-
-
-def extract(pt, i, length):
-    """Key of T[i..i+length), most significant digit first.
-
-    Requires 1 <= i and i + length - 1 <= n and length <= key_cap.
-    """
-    if length < 0 or i < 1 or i + length - 1 > pt.n:
-        raise IndexError("substring [%d..%d) out of range" % (i, i + length))
-    if length > pt.key_cap:
-        raise ValueError("substring longer than key capacity %d" % pt.key_cap)
-    value = 0
-    sigma = pt.sigma
-    for t in range(length):
-        value = value * sigma + pt.char_at(i + t)
-    return SubstringKey(value, length, sigma)
 
 
 def _read_bits(wlist, pos, k):
@@ -255,35 +219,100 @@ def short_periods(pt, starts, length, pmax):
     return out
 
 
-def bulk_keys(pt, length, start=1, stop=None):
-    """int64 array of keys of T[p..p+length) for p = start .. stop.
+def _column_symbols(sigma):
+    """The most symbols c with sigma**c <= 2**62, one key column's worth."""
+    return next(c for c in range(63) if sigma ** (c + 1) > 1 << 62)
 
-    Only valid while length * bits <= 62.  Returned array index 0
-    corresponds to position `start`.
+
+def window_radices(sigma, length):
+    """Radix of each column of window_keys(pt, length, starts)."""
+    c = _column_symbols(sigma)
+    return [sigma ** min(c, length - k) for k in range(0, length, c)]
+
+
+def _doubled_keys(sym, w, sigma):
+    """Keys of every w-symbol window of sym, by key_{a+b}(i) = key_a(i) *
+    sigma**b + key_b(i+a) over the lengths 1, 2, 4, ... that the binary
+    digits of w name: floor(log2 w) + popcount(w) passes."""
+    key, got, m = None, 0, 1
+    part = sym.astype(np.int64)
+    while True:
+        if w & m:
+            key = part if key is None else (
+                key[:-m] * sigma ** m + part[got:])
+            got += m
+        if 2 * m > w:
+            return key
+        part = part[:-m] * sigma ** m + part[m:]
+        m *= 2
+
+
+def window_keys(pt, length, starts):
+    """Base-sigma keys of the windows T[i..i+length), as int64 columns.
+
+    starts is a count k, meaning the starts 1..k, or an array of 1-based
+    starts.  The first symbol is the most significant and symbols past n
+    read as 0.  Each column holds the next c symbols, c the most with
+    sigma**c <= 2**62, so a window with length * bits <= 62 takes one
+    column, and the columns compare lexicographically like the windows.
+    The keys are built by doubling over the stretch of text the starts
+    cover or, when that is more work, by merging each window's own
+    symbols pairwise.
+
+    >>> pt = pack([1, 0, 2, 2], 3)
+    >>> [c.tolist() for c in window_keys(pt, 2, 4)]
+    [[3, 2, 8, 6]]
+    >>> [c.tolist() for c in window_keys(pt, 40, [2, 4])]
+    [[1200757082375992968, 2701703435345984178], [0, 0]]
     """
-    if stop is None:
-        stop = pt.n - length + 1
-    if length * pt.bits_per_symbol > 62:
-        raise ValueError("bulk keys limited to 62 bits")
-    if stop < start:
-        return np.zeros(0, dtype=np.int64)
-    if start < 1 or stop + length - 1 > pt.n:
-        raise IndexError("range out of bounds")
-    count = stop - start + 1
-    sym = pt.symbols[start - 1:stop + length - 1].astype(np.int64)
-    return pack_columns(((sym[t:t + count], pt.sigma)
-                         for t in range(length)), count)[0]
+    if length < 1:
+        raise ValueError("windows must hold at least one symbol")
+    c = _column_symbols(pt.sigma)
+    w = min(c, length)
+    offsets = np.arange(0, length, c)
+    if np.ndim(starts) == 0:
+        lo, span, starts = 1, int(starts), None
+    else:
+        starts = np.asarray(starts, dtype=np.int64)
+        lo = int(starts.min()) if starts.size else 1
+        span = int(starts.max()) - lo + 1 if starts.size else 0
+        if lo < 1:
+            raise IndexError("window start before position 1")
+    if span <= 0:
+        return [np.zeros(0, dtype=np.int64) for _ in offsets]
+    if starts is None or span < len(starts) * length:
+        sym = np.zeros(span + int(offsets[-1]) + w - 1, dtype=pt.symbols.dtype)
+        text = pt.symbols[lo - 1:lo - 1 + len(sym)]
+        sym[:len(text)] = text
+        keys = _doubled_keys(sym, w, pt.sigma)
+        cols = [keys[o:o + span] if starts is None else keys[starts - lo + o]
+                for o in offsets]
+    else:
+        # zeros in front, up to a power-of-two width, leave a key as it is
+        width = 1 << (w - 1).bit_length()
+        pos = (starts - 1)[:, None, None] + (offsets[:, None]
+                                             + np.arange(w - width, w))
+        keys = np.take(pt.symbols, pos, mode="clip").astype(np.int64)
+        keys[..., :width - w] = 0
+        keys[pos >= pt.n] = 0
+        m = 1
+        while m < width:
+            keys, m = keys[..., 0::2] * pt.sigma ** m + keys[..., 1::2], 2 * m
+        cols = list(keys[..., 0].T)
+    rem = length - int(offsets[-1])
+    if rem < w:
+        cols[-1] = cols[-1] // pt.sigma ** (w - rem)
+    return cols
 
 
 def pack_columns(fields, count):
-    """Mixed-radix keys of `count` rows as a list of int64 columns; count
-    may also be an array shape that the values broadcast to.
+    """Mixed-radix keys of `count` rows as a list of int64 columns.
 
     fields yields (values, radix) pairs, most significant first, with
     0 <= values < radix.  Consecutive fields share a column while the
     product of their radices stays at most 2**62, so the columns compare
-    lexicographically exactly like the field tuples, and a column of
-    symbol fields alone is the base-sigma key that extract returns.
+    lexicographically exactly like the field tuples.  A window key
+    column enters as one field, with its radix from window_radices.
 
     >>> [c.tolist() for c in pack_columns([([1, 0], 2), ([2, 1], 3)], 2)]
     [[5, 1]]

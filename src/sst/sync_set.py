@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .packed_text import dense_ranks, pack_columns
+from .packed_text import dense_ranks, window_keys
 from .succinct import RankBitvector
 from .suffix_core import SuffixArrayIndex
 
@@ -120,15 +120,13 @@ def _fragment_classes(pt, length, count):
     """Ascending-lexicographic class ids of the length-`length` fragments
     at starts 1..count.
 
-    Up to the key capacity the fragments are packed into one to three
-    int64 columns and ranked; beyond it the classes come from cutting
-    suffix order wherever the common prefix of neighbouring suffixes
-    drops below the length.  Equal fragments share a class either way.
+    Up to the key capacity the fragments are ranked by their window
+    keys; beyond it the classes come from cutting suffix order wherever
+    the common prefix of neighbouring suffixes drops below the length.
+    Equal fragments share a class either way.
     """
     if length <= pt.key_cap:
-        sym = pt.symbols.astype(np.int64)
-        return dense_ranks(pack_columns(
-            ((sym[t:t + count], pt.sigma) for t in range(length)), count))
+        return dense_ranks(window_keys(pt, length, count))
     idx = SuffixArrayIndex(pt.symbols)
     mask = idx.sa <= count
     order = idx.sa[mask]
@@ -361,12 +359,12 @@ def construct_packed_fast(pt, tau, psets=None):
     Positions are grouped into length-tau blocks; blocks sharing their
     4tau-symbol context behave identically, so each scoring round only
     inspects one representative per context and weights its scores by
-    the context multiplicity.  Falls back to the plain deterministic
-    construction when sigma**(5 tau) exceeds n.  Output is identical
-    either way.
+    the context multiplicity.  A block whose context leaves the text
+    gets a context of its own.  Requires packed_fast_applicable; the
+    output equals construct_deterministic's.
     """
     if not packed_fast_applicable(pt, tau):
-        return construct_deterministic(pt, tau, psets)
+        raise ValueError("block replay needs sigma**(5tau) <= n")
     n = pt.n
     if psets is None:
         psets = compute_q_and_b(pt, tau)
@@ -378,38 +376,26 @@ def construct_packed_fast(pt, tau, psets=None):
     class_of = ids.class_of
 
     nblocks = -(-nwin // tau)
-    padded = np.full(n + 4 * tau, pt.sigma, dtype=np.int64)
-    padded[2 * tau - 1:2 * tau - 1 + n] = pt.symbols
-    ctx = pack_columns(((padded[t:t + nblocks * tau:tau], pt.sigma + 1)
-                        for t in range(4 * tau)), nblocks)[0]
+    # block b's context is T[b*tau-2tau+2..b*tau+2tau+1]; negative ids
+    # keep the contexts that leave the text apart from every other
+    first = np.arange(nblocks) * tau - 2 * tau + 2
+    inside = (first >= 1) & (first + 4 * tau - 1 <= n)
+    ctx = -1 - np.arange(nblocks)
+    ctx[inside] = window_keys(pt, 4 * tau, first[inside])[0]
     _, rep_blocks, inv = np.unique(ctx, return_index=True, return_inverse=True)
     mult = np.bincount(inv, minlength=len(rep_blocks))
 
-    rep_pos0 = []
-    rep_weight = []
-    for rb, w in zip(rep_blocks, mult):
-        lo = rb * tau
-        hi = min(lo + tau, nwin)
-        rep_pos0.append(np.arange(lo, hi, dtype=np.int64))
-        rep_weight.append(np.full(hi - lo, w, dtype=np.int64))
-    rep_pos0 = np.concatenate(rep_pos0)
-    rep_weight = np.concatenate(rep_weight)
+    rep_pos0 = (rep_blocks[:, None] * tau + np.arange(tau)).ravel()
+    keep = rep_pos0 < nwin
+    rep_pos0 = rep_pos0[keep]
+    rep_weight = np.repeat(mult, tau)[keep]
     rep_class = class_of[rep_pos0]
 
-    defined = np.zeros(nwin, dtype=bool)
-    next_id = 0
-    for c in np.nonzero(in_b)[0]:
-        ids.id_of_class[c] = next_id
-        next_id += 1
-    for c in np.nonzero(in_q)[0]:
-        ids.id_of_class[c] = next_id
-        next_id += 1
-    phase12 = np.nonzero(in_b | in_q)[0]
-    if len(phase12):
-        sel = np.isin(class_of, phase12)
-        defined[sel] = True
-
+    early = np.concatenate([np.nonzero(in_b)[0], np.nonzero(in_q)[0]])
+    ids.id_of_class[early] = np.arange(len(early))
+    next_id = len(early)
     processed = in_b | in_q
+    defined = processed[class_of]
     fl = tau // 3
     idx = np.arange(nwin, dtype=np.int64)
     while not processed.all():
@@ -435,10 +421,12 @@ def construct_packed_fast(pt, tau, psets=None):
     return construct_from_ids(pt, tau, ids, psets)
 
 
-def construct(pt, tau, mode="fast", seed=0):
-    if mode == "fast":
-        return construct_packed_fast(pt, tau)
+def construct(pt, tau, mode="det", seed=0):
+    """The "det" or "random" set; "det" replays on blocks where
+    packed_fast_applicable holds, else runs the scoring loop."""
     if mode == "det":
+        if packed_fast_applicable(pt, tau):
+            return construct_packed_fast(pt, tau)
         return construct_deterministic(pt, tau)
     if mode == "random":
         return construct_randomized(pt, tau, seed=seed)

@@ -12,19 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packed_text import dense_ranks, pack_columns, short_periods
+from .packed_text import (dense_ranks, pack_columns, short_periods,
+                          window_keys, window_radices)
 from .suffix_core import SuffixArrayIndex, build_suffix_array
 
 
 @dataclass
 class TPrimeString:
-    """Reduced string: one rank-reduced symbol per synchronizing position."""
+    """Reduced string: one rank-reduced symbol per synchronizing position,
+    with the arrays of find_runs that its d values came from."""
 
     tau: int
     n: int
     positions: np.ndarray
     symbols: np.ndarray
     d_values: np.ndarray
+    runs: tuple
 
     @property
     def sentinel(self):
@@ -69,43 +72,32 @@ def find_runs(pt, tau, positions):
     return row - 1, j, e, p, np.where(body & (after > before), 1, -1)
 
 
-def compute_d_values(pt, tau, positions):
-    """Tie-breaker d for each position: type * (n - g) where a run of
-    find_runs starts right after it, g the distance to the next member
-    or the sentinel, and 0 elsewhere."""
-    d = np.zeros(len(positions), dtype=np.int64)
-    prev, j, e, _, typ = find_runs(pt, tau, positions)
-    after = prev >= 0
-    d[prev[after]] = (typ * (pt.n - (e - j - 2 * tau + 2)))[after]
-    return d
-
-
 def build_tprime(pt, s):
     """Encode the reduced string for a synchronizing set.
 
     Members rank by the fragment T[i..i+3tau) zero-padded past the text
-    end, then by the fragment length, then by d; equal triples share a
-    symbol.  The three are packed as mixed-radix fields into as few
-    int64 columns as they need, so one sort covers every tau and
-    alphabet.
+    end, then by the fragment length, then by d, type * (n - g) when a
+    run of find_runs starts right after the member, g the distance to
+    the next member or the sentinel, and 0 otherwise.  Equal triples
+    share a symbol, found by one sort of the fields packed into as few
+    int64 columns as they need.
     """
     n, tau = pt.n, s.tau
     sp = np.asarray(s.positions, dtype=np.int64)
     m = len(sp)
-    d = compute_d_values(pt, tau, sp)
+    runs = find_runs(pt, tau, sp)
+    prev, j, e, _, typ = runs
+    after = prev >= 0
+    d = np.zeros(m, dtype=np.int64)
+    d[prev[after]] = (typ * (n - (e - j - 2 * tau + 2)))[after]
     if m == 0:
-        return TPrimeString(tau, n, sp, np.zeros(0, dtype=np.int64), d)
+        return TPrimeString(tau, n, sp, np.zeros(0, dtype=np.int64), d, runs)
     width = 3 * tau
-    sym = np.concatenate([pt.symbols.astype(np.int64),
-                          np.zeros(width, dtype=np.int64)])
-
-    def fields():
-        for t in range(width):
-            yield sym[sp - 1 + t], pt.sigma
-        yield np.minimum(width, n + 1 - sp), width + 1
-        yield d + n, 2 * n + 1
-    reduced = dense_ranks(pack_columns(fields(), m))
-    return TPrimeString(tau, n, sp, reduced, d)
+    fields = list(zip(window_keys(pt, width, sp),
+                      window_radices(pt.sigma, width)))
+    fields += [(np.minimum(width, n + 1 - sp), width + 1), (d + n, 2 * n + 1)]
+    reduced = dense_ranks(pack_columns(fields, m))
+    return TPrimeString(tau, n, sp, reduced, d, runs)
 
 
 @dataclass
@@ -115,7 +107,6 @@ class SortedSyncOrder:
     tprime: TPrimeString
     suffix_index: SuffixArrayIndex
     order: np.ndarray
-    sorted_positions: np.ndarray
     rank_of_index: np.ndarray
 
     def __len__(self):
@@ -125,15 +116,9 @@ class SortedSyncOrder:
 def sort_sync_suffixes(pt, s):
     """Sort the text suffixes starting at synchronizing positions.
 
-    Returns the order as indices into s.positions (1-based), the
-    positions themselves in suffix order, and the inverse permutation.
+    Returns the order as indices into s.positions (1-based) and the
+    inverse permutation.
     """
     tp = build_tprime(pt, s)
     idx = build_suffix_array(tp.symbols)
-    order = idx.sa
-    m = len(order)
-    if m:
-        sorted_positions = tp.positions[order - 1]
-    else:
-        sorted_positions = np.zeros(0, dtype=np.int64)
-    return SortedSyncOrder(tp, idx, order, sorted_positions, idx.isa)
+    return SortedSyncOrder(tp, idx, idx.sa, idx.isa)

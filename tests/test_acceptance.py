@@ -188,7 +188,7 @@ def _sorted_order_matches(pt, idx, tau):
     s = construct_deterministic(pt, tau)
     order = sort_sync_suffixes(pt, s)
     expect = idx.sa[np.isin(idx.sa, s.positions)]
-    return np.array_equal(order.sorted_positions, expect)
+    return np.array_equal(order.tprime.positions[order.order - 1], expect)
 
 
 def test_criterion_4_sorted_sync_suffixes():

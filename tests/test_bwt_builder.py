@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from sst.bwt_builder import (build_bwt, count_freq, derive_runs, invert_bwt,
                              offline_range_count, read_bwt, write_bwt)
-from sst.packed_text import extract, pack
+from sst.packed_text import pack
 from sst.sync_set import construct
+from sst.sync_sort import build_tprime
 from sst.reference_oracles import naive_bwt, naive_period
 
 from conftest import (all_binary_texts, fibonacci_word, full_profile,
@@ -126,13 +127,13 @@ def test_count_freq_matches_counter(rng):
     pt = pack(seq, 4)
     for ell in (1, 2, 5, 9):
         ft = count_freq(pt, ell)
-        want = Counter(extract(pt, i, ell).value
-                       for i in range(1, 300 - ell + 2))
-        assert ft.total() == 300 - ell + 1
+        want = Counter(int("".join(map(str, seq[i:i + ell])), 4)
+                       for i in range(300 - ell + 1))
+        assert ft.counts.sum() == 300 - ell + 1
         for key, cnt in want.items():
             assert ft.get(key) == cnt
         assert ft.get(-1) == 0
-    assert count_freq(pt, 301).total() == 0
+    assert count_freq(pt, 301).counts.sum() == 0
 
 
 def test_count_freq_rejects_wide_keys(rng):
@@ -194,7 +195,7 @@ def test_derive_runs_structure():
                                                sigma) + tail * 30)
             pt = pack(seq, sigma)
             s = construct(pt, tau, mode="random")
-            runs, roots = derive_runs(pt, tau, s)
+            runs, roots = derive_runs(pt, build_tprime(pt, s))
             want = _brute_runs(seq, tau, s.positions)
             got = [tuple(int(r[f]) for f in ("j", "e", "p", "type", "delta",
                                               "k", "u2")) for r in runs]

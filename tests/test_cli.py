@@ -2,6 +2,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from sst.cli import main
 from sst.lce_index import LceIndex
@@ -106,6 +107,15 @@ def test_sync_build_validate_stats(tmp_path, capsys):
                           "--tau", "3")
     assert status == 0
     assert "size=" in out and "bound_30n_over_tau=" in out
+
+
+def test_sync_mode_fast_is_rejected(tmp_path):
+    src = tmp_path / "t.txt"
+    src.write_bytes(bytes(range(1, 25)) * 4)
+    with pytest.raises(SystemExit) as exc:
+        main(["sync", "build", "--input", str(src), "--tau", "3",
+              "--mode", "fast", "--output", str(tmp_path / "s.txt")])
+    assert exc.value.code == 2
 
 
 def test_sync_tampered_set(tmp_path, capsys):

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sst.packed_text import (bulk_keys, dense_ranks, extract,
-                             lcp_fragments, lcp_fragments_many, pack,
-                             pack_columns, short_periods)
+from sst.packed_text import (dense_ranks, lcp_fragments, lcp_fragments_many,
+                             pack, pack_columns, short_periods, window_keys)
 from sst.reference_oracles import naive_lce, naive_period
 
 from conftest import periodic_mosaic, random_text
@@ -34,31 +33,6 @@ def test_char_at_bounds():
         pt.char_at(0)
     with pytest.raises(IndexError):
         pt.char_at(3)
-
-
-def test_extract_matches_digits(rng):
-    # keys read as base-sigma numbers, most significant symbol first
-    for sigma in (2, 5, 16):
-        seq = random_text(rng, 60, sigma)
-        pt = pack(seq, sigma)
-        base = sigma
-        for _ in range(80):
-            i = rng.randrange(1, 61)
-            ln = rng.randrange(1, min(60 - i + 1, pt.key_cap) + 1)
-            want = 0
-            for c in seq[i - 1:i - 1 + ln]:
-                want = want * base + c
-            assert extract(pt, i, ln).value == want
-
-
-def test_key_order_is_lex_order(rng):
-    # equal-length fragment keys compare exactly like the fragments
-    seq = random_text(rng, 50, 4)
-    pt = pack(seq, 4)
-    for _ in range(200):
-        i, j = rng.randrange(1, 44), rng.randrange(1, 44)
-        a, b = extract(pt, i, 7).value, extract(pt, j, 7).value
-        assert (a < b) == (seq[i - 1:i + 6] < seq[j - 1:j + 6])
 
 
 def test_lcp_fragments_frozen():
@@ -113,23 +87,6 @@ def test_short_periods_known_words():
         short_periods(pt, [10], 4, 2)
     with pytest.raises(ValueError):
         short_periods(pt, [1], 0, 2)
-
-
-def test_bulk_keys_matches_extract(rng):
-    seq = random_text(rng, 70, 4)
-    pt = pack(seq, 4)
-    for ln in (1, 3, 8, 31):
-        got = bulk_keys(pt, ln)
-        assert len(got) == 70 - ln + 1
-        for p in (1, 2, 35, 70 - ln + 1):
-            assert got[p - 1] == extract(pt, p, ln).value
-    part = bulk_keys(pt, 3, start=5, stop=9)
-    assert list(part) == [extract(pt, p, 3).value for p in range(5, 10)]
-
-
-def test_bulk_keys_dtype_is_int64(rng):
-    pt = pack(random_text(rng, 30, 2), 2)
-    assert bulk_keys(pt, 20).dtype == np.int64
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,3 +150,41 @@ def test_pack_columns_ranks_like_tuples(shape, m, data):
     assert len(cols) == ncols
     order = sorted(set(rows))
     assert dense_ranks(cols).tolist() == [order.index(row) for row in rows]
+
+
+def _horner_columns(seq, sigma, i, length):
+    # the key of T[i..i+length) column by column, each holding the most
+    # symbols c with sigma**c <= 2**62, zeros read past the text end
+    c = 1
+    while sigma ** (c + 1) <= 1 << 62:
+        c += 1
+    cols = []
+    for lo in range(0, length, c):
+        v = 0
+        for t in range(lo, min(lo + c, length)):
+            v = v * sigma + (seq[i - 1 + t] if i - 1 + t < len(seq) else 0)
+        cols.append(v)
+    return tuple(cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 4, 16, 256]), st.integers(1, 200),
+       st.integers(0, 2 ** 32), st.integers(1, 200), st.data())
+def test_window_keys_matches_horner(sigma, n, seed, length, data):
+    # lengths past three columns for every sigma (62, 39, 31, 15 and 7
+    # symbols per column), counted starts and gathered starts, windows
+    # that run past the text end included
+    seq = periodic_mosaic(random.Random(seed), n, sigma)
+    pt = pack(seq, sigma)
+    count = data.draw(st.integers(0, n))
+    starts = data.draw(st.lists(st.integers(1, n), max_size=30))
+    for got, at in ((window_keys(pt, length, count), range(1, count + 1)),
+                    (window_keys(pt, length, starts), starts)):
+        assert all(col.dtype == np.int64 for col in got)
+        rows = [tuple(int(col[k]) for col in got) for k in range(len(at))]
+        assert rows == [_horner_columns(seq, sigma, i, length) for i in at]
+        # the column tuples rank like the zero-padded windows
+        wins = [tuple(seq[i - 1:i - 1 + length])
+                + (0,) * max(0, i - 1 + length - n) for i in at]
+        assert dense_ranks(got).tolist() == [sorted(set(wins)).index(x)
+                                             for x in wins]

@@ -206,8 +206,10 @@ def test_fast_equals_deterministic(rng):
 def test_construct_dispatch(rng):
     pt = pack(random_text(rng, 100, 2), 2)
     det = construct(pt, 3, mode="det")
-    fast = construct(pt, 3, mode="fast")
-    assert list(det.positions) == list(fast.positions)
+    assert list(det.positions) == list(
+        construct_deterministic(pt, 3).positions)
+    with pytest.raises(ValueError):
+        construct(pt, 3, mode="fast")
     r0 = construct(pt, 3, mode="random", seed=5)
     r1 = construct(pt, 3, mode="random", seed=5)
     assert list(r0.positions) == list(r1.positions)

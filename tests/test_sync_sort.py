@@ -5,7 +5,7 @@ from sst.packed_text import pack
 from sst.suffix_core import SuffixArrayIndex
 from sst.sync_set import (SyncSet, construct_deterministic,
                           construct_randomized)
-from sst.sync_sort import build_tprime, compute_d_values, sort_sync_suffixes
+from sst.sync_sort import build_tprime, sort_sync_suffixes
 
 from conftest import (all_binary_texts, full_profile, periodic_mosaic,
                       random_text)
@@ -17,7 +17,8 @@ def _check_order(seq, tau):
     order = sort_sync_suffixes(pt, s)
     idx = SuffixArrayIndex(seq)
     want = sorted(s.positions, key=lambda p: idx.isa[p - 1])
-    assert list(order.sorted_positions) == [int(p) for p in want]
+    got = order.tprime.positions[order.order - 1]
+    assert list(got) == [int(p) for p in want]
     return order
 
 
@@ -78,7 +79,7 @@ def test_d_is_zero_without_long_gaps(rng):
     s = construct_deterministic(pt, 3)
     sp = list(s.positions)
     gaps = [b - a for a, b in zip(sp, sp[1:])] + [s.sentinel - sp[-1]]
-    d = compute_d_values(pt, 3, s.positions)
+    d = build_tprime(pt, s).d_values
     for g, dv in zip(gaps, d):
         if g <= 3:
             assert dv == 0
@@ -91,7 +92,7 @@ def test_run_gap_gets_signed_d():
     seq = [0, 1, 1, 0] + [0] * 30 + [1, 0, 1, 1]
     pt = pack(seq, 2)
     s = construct_deterministic(pt, 3)
-    d = compute_d_values(pt, 3, s.positions)
+    d = build_tprime(pt, s).d_values
     assert np.any(d != 0)
 
 
@@ -102,7 +103,7 @@ def test_rejects_uncovered_gap():
     pt = pack(seq, 2)
     bad = SyncSet(2, len(seq), np.array([1], dtype=np.int64))
     with pytest.raises(AssertionError):
-        compute_d_values(pt, 2, bad.positions)
+        build_tprime(pt, bad)
 
 
 def _big_int_symbols(seq, sigma, positions, d, tau):

@@ -221,7 +221,8 @@ def short_periods(pt, starts, length, pmax):
 
 def _column_symbols(sigma):
     """The most symbols c with sigma**c <= 2**62, one key column's worth."""
-    return next(c for c in range(63) if sigma ** (c + 1) > 1 << 62)
+    return next(c for c in range(62 // _bits_for(sigma), 63)
+                if sigma ** (c + 1) > 1 << 62)
 
 
 def window_radices(sigma, length):

@@ -40,8 +40,7 @@ class PackedText:
 
     @property
     def key_cap(self):
-        """Longest window that is ranked by its window keys, at most three
-        columns, rather than by suffix order."""
+        """Longest window ranked by its window keys, not by suffix order."""
         return 128 // self.bits_per_symbol
 
     def char_at(self, i):
@@ -256,9 +255,8 @@ def window_keys(pt, length, starts):
     read as 0.  Each column holds the next c symbols, c the most with
     sigma**c <= 2**62, so a window with length * bits <= 62 takes one
     column, and the columns compare lexicographically like the windows.
-    The keys are built by doubling over the stretch of text the starts
-    cover or, when that is more work, by merging each window's own
-    symbols pairwise.
+    Keys come from doubling over the stretch the starts cover or, for
+    sparse starts, from merging each window's own symbols pairwise.
 
     >>> pt = pack([1, 0, 2, 2], 3)
     >>> [c.tolist() for c in window_keys(pt, 2, 4)]

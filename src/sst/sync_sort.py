@@ -19,8 +19,7 @@ from .suffix_core import SuffixArrayIndex, build_suffix_array
 
 @dataclass
 class TPrimeString:
-    """Reduced string: one rank-reduced symbol per synchronizing position,
-    with the arrays of find_runs that its d values came from."""
+    """Reduced string, one symbol per member, and its find_runs arrays."""
 
     tau: int
     n: int

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sst.packed_text import (dense_ranks, lcp_fragments, lcp_fragments_many,
-                             pack, pack_columns, short_periods, window_keys)
+                             pack, pack_columns, short_periods, window_keys,
+                             window_radices)
 from sst.reference_oracles import naive_lce, naive_period
 
 from conftest import periodic_mosaic, random_text
@@ -33,6 +34,37 @@ def test_char_at_bounds():
         pt.char_at(0)
     with pytest.raises(IndexError):
         pt.char_at(3)
+
+
+def test_extract_matches_digits(rng):
+    # a single window's key reads as a base-sigma number, most significant
+    # symbol first (the one-start read that extract used to make)
+    for sigma in (2, 5, 16):
+        seq = random_text(rng, 60, sigma)
+        pt = pack(seq, sigma)
+        for _ in range(80):
+            i = rng.randrange(1, 61)
+            ln = rng.randrange(1, min(60 - i + 1, pt.key_cap) + 1)
+            want = 0
+            for c in seq[i - 1:i - 1 + ln]:
+                want = want * sigma + c
+            # the columns joined by their radices give the whole key
+            got = 0
+            for col, radix in zip(window_keys(pt, ln, [i]),
+                                  window_radices(sigma, ln)):
+                got = got * radix + int(col[0])
+            assert got == want
+
+
+def test_key_order_is_lex_order(rng):
+    # equal-length fragment keys compare exactly like the fragments
+    seq = random_text(rng, 50, 4)
+    pt = pack(seq, 4)
+    for _ in range(200):
+        i, j = rng.randrange(1, 44), rng.randrange(1, 44)
+        (keys,) = window_keys(pt, 7, [i, j])
+        a, b = int(keys[0]), int(keys[1])
+        assert (a < b) == (seq[i - 1:i + 6] < seq[j - 1:j + 6])
 
 
 def test_lcp_fragments_frozen():
@@ -87,6 +119,25 @@ def test_short_periods_known_words():
         short_periods(pt, [10], 4, 2)
     with pytest.raises(ValueError):
         short_periods(pt, [1], 0, 2)
+
+
+def test_bulk_keys_matches_extract(rng):
+    # counted starts (the all-windows read bulk_keys made) agree with
+    # gathered single starts (the per-window read extract made)
+    seq = random_text(rng, 70, 4)
+    pt = pack(seq, 4)
+    for ln in (1, 3, 8, 31):
+        (got,) = window_keys(pt, ln, 70 - ln + 1)
+        assert len(got) == 70 - ln + 1
+        for p in (1, 2, 35, 70 - ln + 1):
+            assert got[p - 1] == window_keys(pt, ln, [p])[0][0]
+    (part,) = window_keys(pt, 3, np.arange(5, 10))
+    assert list(part) == [window_keys(pt, 3, [p])[0][0] for p in range(5, 10)]
+
+
+def test_bulk_keys_dtype_is_int64(rng):
+    pt = pack(random_text(rng, 30, 2), 2)
+    assert all(col.dtype == np.int64 for col in window_keys(pt, 20, 11))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,10 @@
 """Count array inversions by reading wavelet-tree bitvectors out of one BWT.
 
 The array is serialised into a bit string whose BWT contains every
-bitvector of the wavelet tree of the array as a contiguous block; the
-blocks are located from substring frequencies alone and their inversion
-counts sum to the answer.
+bitvector of the wavelet tree of the array as a contiguous block.  Each
+node owns the suffixes that start with one bit pattern, and every
+pattern's range is read out of one sorted array of window keys; the
+inversion counts of the blocks sum to the answer.
 """
 
 import numpy as np

@@ -45,37 +45,6 @@ class BwtResult:
         return len(self.bwt)
 
 
-class FreqTable:
-    """Occurrence counts of all substrings of one fixed length."""
-
-    __slots__ = ("length", "keys", "counts")
-
-    def __init__(self, length, keys, counts):
-        self.length = int(length)
-        self.keys = keys
-        self.counts = counts
-
-    def get(self, key_value):
-        i = int(np.searchsorted(self.keys, key_value))
-        if i < len(self.keys) and self.keys[i] == key_value:
-            return int(self.counts[i])
-        return 0
-
-
-def count_freq(pt, ell):
-    """Frequency table of the length-ell substrings; ell * bits <= 62."""
-    if ell < 1:
-        raise ValueError("length must be positive")
-    if ell > pt.n:
-        return FreqTable(ell, np.zeros(0, dtype=np.int64),
-                         np.zeros(0, dtype=np.int64))
-    if ell * pt.bits_per_symbol > 62:
-        raise ValueError("frequency keys limited to 62 bits")
-    keys = window_keys(pt, ell, pt.n - ell + 1)[0]
-    u, c = np.unique(keys, return_counts=True)
-    return FreqTable(ell, u, c.astype(np.int64))
-
-
 def _sort_keys(pt, tau, s, order):
     """Per-position sort keys: window, window length, successor rank.
 

@@ -2,18 +2,17 @@
 
 Each array entry becomes a fixed bit block whose suffixes sort like the
 wavelet tree order of the values.  The transform of the encoded text
-then contains every wavelet bitvector as a contiguous slice, located by
-substring frequencies alone, and the inversion total of the array
-equals the sum of inversions over those bitvectors.  The small variant
-handles narrow values with a short traversal; the general variant
-covers values up to the array length with a linear prefix scan.
+then contains every wavelet bitvector as a contiguous slice: the node
+with label w owns the suffixes that start with one pattern P(w), and
+all those ranges are read out of one sorted array of window keys.  The
+inversion total of the array equals the sum of inversions over the
+bitvectors.  The small variant handles values below 2^k; the general
+variant covers values up to the padded array length.
 """
-
-from collections import defaultdict
 
 import numpy as np
 
-from .bwt_builder import build_bwt, count_freq
+from .bwt_builder import build_bwt
 from .packed_text import pack, window_keys
 from .succinct import count_inversions_bits
 
@@ -37,27 +36,33 @@ def _next_pow2(m):
     return p
 
 
-def _bin_bits(x, width):
-    return [(x >> (width - 1 - t)) & 1 for t in range(width)]
+def _int_values(a):
+    vals = np.asarray(a)
+    if vals.ndim != 1 or (vals.size and vals.dtype.kind not in "iu"):
+        raise ValueError("values must be a 1-D sequence of integers")
+    return vals.astype(np.int64)
 
 
-def _pad_zeros(bits):
-    out = []
-    for b in bits:
-        out.append(0)
-        out.append(b)
-    return out
-
-
-def _padded(a, domain):
-    vals = [int(v) for v in a]
-    if any(v < 0 or v >= domain for v in vals):
-        raise ValueError("value outside the encoding domain")
+def _padded(a, domain=None):
+    """The values padded to m entries; the domain defaults to [0..m)."""
+    vals = _int_values(a)
     m = _next_pow2(max(2, len(vals)))
+    domain = m if domain is None else domain
+    if vals.size and (vals.min() < 0 or vals.max() >= domain):
+        raise ValueError("value outside the encoding domain")
     # appended maxima sit at the end and exceed nothing, so the
     # inversion count of the padded array stays unchanged
-    vals.extend([domain - 1] * (m - len(vals)))
-    return vals, m
+    return np.concatenate([vals, np.full(m - len(vals), domain - 1)]), m
+
+
+def _bit_columns(x, width):
+    """Bits of each entry of x, most significant first, one row per entry."""
+    shifts = np.arange(width - 1, -1, -1)
+    return ((x[:, None] >> shifts) & 1).astype(np.uint8)
+
+
+def _const(m, bit, width):
+    return np.full((m, width), bit, dtype=np.uint8)
 
 
 def build_reduction_small(a, k):
@@ -68,36 +73,27 @@ def build_reduction_small(a, k):
     logm = m.bit_length() - 1
     if k > logm:
         raise ValueError("width exceeds the index width")
-    bits = []
-    for i, v in enumerate(vals, 1):
-        bits.extend(_bin_bits(v, k)[::-1])
-        bits.extend((0, 1))
-        bits.extend([1] * k)
-        bits.extend(_pad_zeros(_bin_bits(i - 1, logm)))
-        bits.append(0)
-    if len(bits) != m * (3 + 2 * logm + 2 * k):
+    index = _bit_columns(np.arange(m), logm)
+    rows = np.hstack([_bit_columns(vals, k)[:, ::-1], _const(m, 0, 1),
+                      _const(m, 1, k + 1),
+                      np.dstack([np.zeros_like(index), index]).reshape(m, -1),
+                      _const(m, 0, 1)])
+    if rows.shape[1] != 3 + 2 * logm + 2 * k:
         raise AssertionError("small encoding has a wrong length")
-    return ReductionText(pack(bits, 2), m, k, "small")
+    return ReductionText(pack(rows.reshape(-1), 2), m, k, "small")
 
 
 def build_reduction_general(a):
     """Encode full-range values: rev(value) 01 1^w 0 index 0 1^w 0."""
-    m = _next_pow2(max(2, len(a)))
-    vals, m = _padded(a, m)
+    vals, m = _padded(a)
     logm = m.bit_length() - 1
-    bits = []
-    for i, v in enumerate(vals, 1):
-        bits.extend(_bin_bits(v, logm)[::-1])
-        bits.extend((0, 1))
-        bits.extend([1] * logm)
-        bits.append(0)
-        bits.extend(_bin_bits(i - 1, logm))
-        bits.append(0)
-        bits.extend([1] * logm)
-        bits.append(0)
-    if len(bits) != m * (4 * logm + 5):
+    rows = np.hstack([_bit_columns(vals, logm)[:, ::-1], _const(m, 0, 1),
+                      _const(m, 1, logm + 1), _const(m, 0, 1),
+                      _bit_columns(np.arange(m), logm), _const(m, 0, 1),
+                      _const(m, 1, logm), _const(m, 0, 1)])
+    if rows.shape[1] != 4 * logm + 5:
         raise AssertionError("general encoding has a wrong length")
-    return ReductionText(pack(bits, 2), m, logm, "general")
+    return ReductionText(pack(rows.reshape(-1), 2), m, logm, "general")
 
 
 def _label_string(wval, wlen):
@@ -105,77 +101,51 @@ def _label_string(wval, wlen):
     return format(wval, "0%db" % wlen)[::-1] if wlen else ""
 
 
-def _blocks_small(rt, force_naive):
+def _slice_blocks(rt, depth, run, force_naive):
+    """Cut every wavelet bitvector out of the transform of rt.bits.
+
+    The node whose label w has d < depth bits owns the suffixes that
+    start with P(w) = w' 0 1^run, w' being w in text order (reversed).
+    Those suffixes sort by the entry index that follows, and the symbols
+    before them are bit d of the values under the node, so the node's
+    bitvector is the transform over P(w)'s suffix range.  One sort of the
+    windows of length L = depth + run, with the window length as a tie
+    break, holds every such range: a suffix shorter than P(w) that is a
+    prefix of it sorts before the range.
+    """
     pt = rt.bits
-    n, k = pt.n, rt.k
-    res = build_bwt(pt, force_naive=force_naive)
-    bwt = np.asarray(res.bwt, dtype=np.int64)
-    depth = 2 * k + 1
-    fts = {d: count_freq(pt, d) for d in range(1, depth + 1)}
-    # the last d bits are the tail window's key mod 2**d
-    tail = int(window_keys(pt, depth, [n - depth + 1])[0][0])
-    suffix_val = {d: tail & ((1 << d) - 1) for d in range(1, depth)}
-    mask = (1 << (k + 2)) - 1
-    want = (1 << (k + 1)) - 1
-    blocks = {}
-    cur = 0
-    stack = [(1, 1), (0, 1)]
-    while stack:
-        v, d = stack.pop()
-        f = fts[d].get(v)
-        if f == 0:
-            continue
-        if d >= k + 2 and (v & mask) == want:
-            blocks[_label_string(v >> (k + 2), d - k - 2)] = \
-                np.array(bwt[cur:cur + f], dtype=np.uint8)
-            cur += f
-            continue
-        if d == depth:
-            cur += f
-            continue
-        if suffix_val[d] == v:
-            # a suffix equal to the label sorts first in its range and
-            # belongs to no bitvector; step over its slot
-            cur += 1
-        stack.append((v * 2 + 1, d + 1))
-        stack.append((v * 2, d + 1))
-    if cur != n:
-        raise AssertionError("cursor drifted off the transform")
-    return blocks
+    n = pt.n
+    L = depth + run
+    if (L + 1) << L > 1 << 62:
+        raise ValueError("pattern keys limited to 62 bits")
+    bwt = np.asarray(build_bwt(pt, force_naive=force_naive).bwt,
+                     dtype=np.uint8)
+    keys = window_keys(pt, L, n)[0] * (L + 1) + np.minimum(
+        L, np.arange(n, 0, -1))
+    keys.sort()
+    d = np.repeat(np.arange(depth), 1 << np.arange(depth))
+    w = np.arange(len(d)) - ((1 << d) - 1)
+    ell = d + 1 + run
+    pat = (w << (run + 1)) | ((1 << run) - 1)
+    lo = np.searchsorted(keys, (pat << (L - ell)) * (L + 1) + ell)
+    hi = np.searchsorted(keys, ((pat + 1) << (L - ell)) * (L + 1))
+    if int((hi - lo).sum()) != rt.m * depth:
+        raise AssertionError("block sizes do not cover the array")
+    full = np.flatnonzero(hi > lo)
+    full = full[np.argsort(lo[full])]
+    return {_label_string(wval, wlen): bwt[a:b] for wval, wlen, a, b in zip(
+        w[full].tolist(), d[full].tolist(), lo[full].tolist(),
+        hi[full].tolist())}
+
+
+def _blocks_small(rt, force_naive):
+    # levels are the k value bits; each entry continues 0 1 1^k
+    return _slice_blocks(rt, rt.k, rt.k + 1, force_naive)
 
 
 def _blocks_general(rt, force_naive):
-    pt = rt.bits
-    n = pt.n
-    logm = rt.k
-    res = build_bwt(pt, force_naive=force_naive)
-    bwt = np.asarray(res.bwt, dtype=np.int64)
-    ft_log = count_freq(pt, logm)
-    ft_ext = {ell: count_freq(pt, ell)
-              for ell in range(logm + 2, 2 * logm + 2)}
-    bump = defaultdict(int)
-    tail = int(window_keys(pt, logm, [n - logm + 1])[0][0])
-    for ell in range(1, logm):
-        bump[(tail & ((1 << ell) - 1)) << (logm - ell)] += 1
-    ones = (1 << logm) - 1
-    blocks = {}
-    cur = 0
-    for x in range(1 << logm):
-        cur += bump.get(x, 0)
-        f = ft_log.get(x)
-        if x != ones:
-            s = ((x + 1) & -(x + 1)).bit_length() - 1
-            wlen = logm - s - 1
-            wval = x >> (s + 1)
-            extval = (((wval << 2) | 1) << logm) | ones
-            fe = ft_ext[wlen + 2 + logm].get(extval)
-            if fe:
-                blocks[_label_string(wval, wlen)] = \
-                    np.array(bwt[cur + f - fe:cur + f], dtype=np.uint8)
-        cur += f
-    if cur != n:
-        raise AssertionError("cursor drifted off the transform")
-    return blocks
+    # levels are the log m value bits; each entry continues 0 1 1^logm
+    return _slice_blocks(rt, rt.k, rt.k + 1, force_naive)
 
 
 def default_small_width(m):
@@ -209,8 +179,16 @@ def count_inversions_via_bwt(a, variant="small", k=None,
     >>> count_inversions_via_bwt([1, 0, 1, 0])
     3
     """
-    if len(a) <= 1:
+    if variant not in ("small", "general"):
+        raise ValueError("unknown variant %r" % (variant,))
+    if len(_int_values(a)) <= 1:
         return 0
-    blocks = extract_wavelet_blocks(a, variant=variant, k=k,
-                                    force_naive_bwt=force_naive_bwt)
-    return sum(count_inversions_bits(b) for b in blocks.values())
+    blocks = list(extract_wavelet_blocks(
+        a, variant=variant, k=k, force_naive_bwt=force_naive_bwt).values())
+    sizes = np.array([len(b) for b in blocks], dtype=np.int64)
+    bits = np.concatenate(blocks)
+    ones = np.add.reduceat(bits, np.cumsum(sizes) - sizes, dtype=np.int64)
+    # counted over the joined blocks, every one also pairs with each zero
+    # of the blocks after its own
+    across = int((sizes - ones) @ (np.cumsum(ones) - ones))
+    return count_inversions_bits(bits) - across

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sst.bwt_builder import (build_bwt, count_freq, derive_runs, invert_bwt,
+from sst.bwt_builder import (build_bwt, derive_runs, invert_bwt,
                              offline_range_count, read_bwt, write_bwt)
 from sst.packed_text import pack
 from sst.sync_set import construct
@@ -119,27 +119,6 @@ def test_bwt_differential(sigma, maker, n, seed, data):
     res = build_bwt(pack(seq, sigma), tau=tau)
     assert (list(res.bwt), res.primary_index) == naive_bwt(seq), \
         (sigma, maker.__name__, n, tau)
-
-
-def test_count_freq_matches_counter(rng):
-    from collections import Counter
-    seq = random_text(rng, 300, 4)
-    pt = pack(seq, 4)
-    for ell in (1, 2, 5, 9):
-        ft = count_freq(pt, ell)
-        want = Counter(int("".join(map(str, seq[i:i + ell])), 4)
-                       for i in range(300 - ell + 1))
-        assert ft.counts.sum() == 300 - ell + 1
-        for key, cnt in want.items():
-            assert ft.get(key) == cnt
-        assert ft.get(-1) == 0
-    assert count_freq(pt, 301).counts.sum() == 0
-
-
-def test_count_freq_rejects_wide_keys(rng):
-    pt = pack(random_text(rng, 100, 4), 4)
-    with pytest.raises(ValueError):
-        count_freq(pt, 32)
 
 
 def test_offline_range_count_frozen():

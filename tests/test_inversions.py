@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sst.inversions import (build_reduction_general, build_reduction_small,
+from sst.inversions import (ReductionText, _blocks_general,
+                            build_reduction_general, build_reduction_small,
                             count_inversions_via_bwt, default_small_width,
                             extract_wavelet_blocks)
+from sst.packed_text import pack
 from sst.reference_oracles import (fenwick_inversions, naive_inversions,
                                    naive_wavelet_bitvectors)
 
@@ -29,6 +31,14 @@ def test_small_layout_frozen():
     assert (rt.m, rt.k, rt.variant) == (2, 1, "small")
     assert _bits(rt) == [1, 0, 1, 1, 0, 0, 0,
                          0, 0, 1, 1, 0, 1, 0]
+    # four entries pin the bit order of values (least significant
+    # first) and of indices (most significant first)
+    rt = build_reduction_small([3, 0, 2, 1], 2)
+    assert (rt.m, rt.k) == (4, 2)
+    assert _bits(rt) == [1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0,
+                         0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0,
+                         0, 1, 0, 1, 1, 1, 0, 1, 0, 0, 0,
+                         1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 0]
 
 
 def test_general_layout_frozen():
@@ -36,6 +46,12 @@ def test_general_layout_frozen():
     assert (rt.m, rt.k, rt.variant) == (2, 1, "general")
     assert _bits(rt) == [1, 0, 1, 1, 0, 0, 0, 1, 0,
                          0, 0, 1, 1, 0, 1, 0, 1, 0]
+    rt = build_reduction_general([3, 0, 2, 1])
+    assert (rt.m, rt.k) == (4, 2)
+    assert _bits(rt) == [1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0,
+                         0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0,
+                         0, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 0,
+                         1, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 0]
 
 
 def _pow2_len(m):
@@ -68,6 +84,23 @@ def test_domain_errors():
         build_reduction_general([4, 0])
     with pytest.raises(ValueError):
         build_reduction_general([-1])
+    # no truncation of fractions, no parsing of strings, no nesting
+    for bad in ([0.9, 0.1], [1, 0.5], ["1", "0"], [[1, 0], [0, 1]], 3):
+        with pytest.raises(ValueError):
+            build_reduction_general(bad)
+        with pytest.raises(ValueError):
+            build_reduction_small(bad, 1)
+    for bad in ([0.9, 0.1], ["1", "0"], [0.5], [[1, 0]]):
+        with pytest.raises(ValueError):
+            count_inversions_via_bwt(bad, "general")
+
+
+def test_wide_pattern_keys_rejected():
+    # log m = 28 needs windows of 57 bits, and with the length tie break
+    # the keys would pass 62 bits; the check comes before any transform
+    rt = ReductionText(pack([0, 1], 2), 1 << 28, 28, "general")
+    with pytest.raises(ValueError):
+        _blocks_general(rt, False)
 
 
 def test_frozen_counts():
@@ -122,15 +155,16 @@ def test_blocks_match_direct_wavelet(rng):
         logm = mp.bit_length() - 1
         k = rng.randrange(1, logm + 1)
         a = [rng.randrange(1 << k) for _ in range(m)]
-        blocks = extract_wavelet_blocks(a, "small", k=k)
-        for label, bits in naive_wavelet_bitvectors(
-                _padded(a, 1 << k), k).items():
-            assert list(blocks.get(label, [])) == bits
         a2 = [rng.randrange(mp) for _ in range(m)]
-        blocks = extract_wavelet_blocks(a2, "general")
-        for label, bits in naive_wavelet_bitvectors(
-                _padded(a2, mp), logm).items():
-            assert list(blocks.get(label, [])) == bits
+        for blocks, want in (
+                (extract_wavelet_blocks(a, "small", k=k),
+                 naive_wavelet_bitvectors(_padded(a, 1 << k), k)),
+                (extract_wavelet_blocks(a2, "general"),
+                 naive_wavelet_bitvectors(_padded(a2, mp), logm))):
+            want = {label: bits for label, bits in want.items() if bits}
+            assert set(blocks) == set(want)
+            for label, bits in want.items():
+                assert list(blocks[label]) == bits
 
 
 def test_naive_bwt_backend(rng):
@@ -149,13 +183,23 @@ def test_default_small_width():
 
 
 def test_unknown_variant_rejected():
+    for a in ([1, 0], [1], []):
+        with pytest.raises(ValueError):
+            count_inversions_via_bwt(a, variant="bogus")
     with pytest.raises(ValueError):
-        count_inversions_via_bwt([1, 0], variant="bogus")
+        extract_wavelet_blocks([1, 0], variant="bogus")
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 63), max_size=40))
-def test_general_variant_property(raw):
+@given(st.lists(st.integers(0, 63), max_size=40), st.data())
+def test_general_variant_property(raw, data):
     mp = _pow2_len(len(raw))
+    k = data.draw(st.integers(1, mp.bit_length() - 1))
     a = [v % mp for v in raw]
-    assert count_inversions_via_bwt(a, "general") == naive_inversions(a)
+    narrow = [v % (1 << k) for v in raw]
+    for naive in (False, True):
+        assert count_inversions_via_bwt(
+            a, "general", force_naive_bwt=naive) == naive_inversions(a)
+        assert count_inversions_via_bwt(
+            narrow, "small", k=k,
+            force_naive_bwt=naive) == naive_inversions(narrow)

@@ -38,7 +38,7 @@ def _next_pow2(m):
 
 def _int_values(a):
     vals = np.asarray(a)
-    if vals.ndim != 1 or (vals.size and vals.dtype.kind not in "iu"):
+    if vals.ndim != 1 or (vals.size and vals.dtype.kind not in "biu"):
         raise ValueError("values must be a 1-D sequence of integers")
     return vals.astype(np.int64)
 
@@ -105,10 +105,11 @@ def _slice_blocks(rt, depth, run, force_naive):
     """Cut every wavelet bitvector out of the transform of rt.bits.
 
     The node whose label w has d < depth bits owns the suffixes that
-    start with P(w) = w' 0 1^run, w' being w in text order (reversed).
-    Those suffixes sort by the entry index that follows, and the symbols
-    before them are bit d of the values under the node, so the node's
-    bitvector is the transform over P(w)'s suffix range.  One sort of the
+    start with P(w) = w' 0 1^run, w' being w reversed since values are
+    written least significant bit first.  Those suffixes sort by the
+    entry index that follows, and the symbols before them are bit d of
+    the values under the node, so the node's bitvector is the transform
+    over P(w)'s suffix range.  One sort of the
     windows of length L = depth + run, with the window length as a tie
     break, holds every such range: a suffix shorter than P(w) that is a
     prefix of it sorts before the range.
@@ -144,7 +145,8 @@ def _blocks_small(rt, force_naive):
 
 
 def _blocks_general(rt, force_naive):
-    # levels are the log m value bits; each entry continues 0 1 1^logm
+    # levels are the log m value bits; each entry continues 0 1 1^logm,
+    # so the patterns take the small variant's shape with k = log m
     return _slice_blocks(rt, rt.k, rt.k + 1, force_naive)
 
 

@@ -28,5 +28,5 @@ res = build_bwt(pack(arr, 4))
 assert np.array_equal(invert_bwt(res), arr)
 print()
 print("n=50000 sigma=4:")
-for key in ("tau", "sync_size", "pipeline", "range_count"):
+for key in ("tau", "sync_size", "pipeline"):
     print("  %-12s %s" % (key, res.meta[key]))

@@ -11,8 +11,7 @@ from .sync_set import (SyncSet, compute_q_and_b, construct,
                        validate_sync_set)
 from .sync_sort import SortedSyncOrder, TPrimeString, sort_sync_suffixes
 from .lce_index import LceIndex, default_tau
-from .bwt_builder import (BwtResult, build_bwt, invert_bwt,
-                          offline_range_count, read_bwt, write_bwt)
+from .bwt_builder import BwtResult, build_bwt, invert_bwt, read_bwt, write_bwt
 from .inversions import (ReductionText, build_reduction_general,
                          build_reduction_small, count_inversions_via_bwt,
                          extract_wavelet_blocks)

@@ -37,7 +37,7 @@ def default_tau(n, sigma):
 class LceIndex:
     """LCE queries over a fixed text."""
 
-    def __init__(self, pt, tau=None, sync=None, order=None):
+    def __init__(self, pt, tau=None):
         self.pt = pt
         n = pt.n
         if tau is None:
@@ -47,16 +47,12 @@ class LceIndex:
         self.tau = tau
         self.direct = n == 1 or 2 * tau > n
         if self.direct:
-            if sync is not None:
-                raise ValueError("tau too large for a synchronizing set")
             self.sync = None
             self.order = None
             self._pos = []
             return
-        self.sync = sync if sync is not None else construct(
-            pt, tau, mode="random", seed=0)
-        self.order = order if order is not None else sort_sync_suffixes(
-            pt, self.sync)
+        self.sync = construct(pt, tau, mode="random", seed=0)
+        self.order = sort_sync_suffixes(pt, self.sync)
         self.order.suffix_index.prepare_lce()
         self._rank1 = self.sync.rank_structure().rank1
         self._pos = self.sync.positions.tolist()

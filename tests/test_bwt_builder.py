@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sst.bwt_builder import (build_bwt, derive_runs, invert_bwt,
-                             offline_range_count, read_bwt, write_bwt)
+from sst.bwt_builder import build_bwt, invert_bwt, read_bwt, write_bwt
 from sst.packed_text import pack
 from sst.sync_set import construct
 from sst.sync_sort import build_tprime
@@ -121,25 +120,9 @@ def test_bwt_differential(sigma, maker, n, seed, data):
         (sigma, maker.__name__, n, tau)
 
 
-def test_offline_range_count_frozen():
-    assert offline_range_count([(1, 1), (2, 2)], [(1, 2)]) == [2]
-    assert offline_range_count([], [(0, 5)]) == [0]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
-                max_size=40),
-       st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
-                min_size=1, max_size=10))
-def test_offline_range_count_property(points, queries):
-    got = offline_range_count(points, queries)
-    for (xmin, ymax), cnt in zip(queries, got):
-        assert cnt == sum(1 for x, y in points if x >= xmin and y <= ymax)
-
-
 def _brute_runs(seq, tau, positions):
-    # (j, e, p, type, delta, k, u2) and the root word of each gap longer
-    # than tau, with the run extended symbol by symbol to its break
+    # (j, e, p, type) of each gap longer than tau, with the run extended
+    # symbol by symbol to its break
     n = len(seq)
     prev = [0] + list(positions)
     nxt = list(positions) + [n - 2 * tau + 2]
@@ -154,15 +137,11 @@ def _brute_runs(seq, tau, positions):
         while e <= n and seq[e - 1] == seq[e - 1 - p]:
             e += 1
         typ = 1 if e <= n and seq[e - 1] > seq[e - 1 - p] else -1
-        word = seq[j - 1:j - 1 + p]
-        rots = [word[r:] + word[:r] for r in range(p)]
-        delta = rots.index(min(rots))
-        k, u2 = divmod(e - j - delta, p)
-        out.append(((j, e, p, typ, delta, k, u2), tuple(min(rots))))
+        out.append((j, e, p, typ))
     return out
 
 
-def test_derive_runs_structure():
+def test_find_runs_structure():
     # periodic heads and tails around mosaics: a run before the first
     # member, and a run whose end lies past the text
     rng = random.Random(6)
@@ -174,17 +153,10 @@ def test_derive_runs_structure():
                                                sigma) + tail * 30)
             pt = pack(seq, sigma)
             s = construct(pt, tau, mode="random")
-            runs, roots = derive_runs(pt, build_tprime(pt, s))
-            want = _brute_runs(seq, tau, s.positions)
-            got = [tuple(int(r[f]) for f in ("j", "e", "p", "type", "delta",
-                                              "k", "u2")) for r in runs]
-            assert got == [w for w, _ in want]
-            assert [roots[r] for r in runs["root"]] == [w for _, w in want]
-            # ids number the distinct roots in order of first appearance
-            ids = runs["root"].tolist()
-            assert list(dict.fromkeys(ids)) == list(range(len(roots)))
-            assert len(set(roots)) == len(roots)
-            assert runs["j"][0] == 1 and runs["e"][-1] == len(seq) + 1
+            _, j, e, p, typ = build_tprime(pt, s).runs
+            got = list(zip(j.tolist(), e.tolist(), p.tolist(), typ.tolist()))
+            assert got == _brute_runs(seq, tau, s.positions)
+            assert j[0] == 1 and e[-1] == len(seq) + 1
 
 
 def test_round_trip_random(rng):
@@ -221,7 +193,6 @@ def test_meta_fields(rng):
     assert res.meta["tau"] == 3
     assert res.meta["primary_index"] == res.primary_index
     assert res.meta["pipeline"] == "sync"
-    assert res.meta["range_count"] == "fenwick"
     assert res.meta["sync_size"] > 0
     assert res.meta["sync_size"] == len(
         construct(pack(seq, 4), 3, mode="random", seed=0))
@@ -244,6 +215,11 @@ def test_write_read_round_trip(tmp_path, rng):
     back = read_bwt(bp, mp)
     assert list(back.bwt) == list(res.bwt)
     assert back.primary_index == res.primary_index
+    assert list(invert_bwt(back)) == seq
+    # sidecars of earlier versions also name their range counter
+    mp.write_text(mp.read_text() + "range_count=fenwick\n")
+    back = read_bwt(bp, mp)
+    assert back.meta["range_count"] == "fenwick"
     assert list(invert_bwt(back)) == seq
 
 

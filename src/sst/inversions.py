@@ -150,20 +150,16 @@ def _blocks_general(rt, force_naive):
     return _slice_blocks(rt, rt.k, rt.k + 1, force_naive)
 
 
-def default_small_width(m):
-    """Default value width for the narrow variant."""
-    return max(1, (_next_pow2(max(2, m)).bit_length() - 1) // 8)
-
-
 def extract_wavelet_blocks(a, variant="small", k=None, force_naive_bwt=False):
     """Wavelet bitvectors of the array, read out of the encoded transform.
 
     Returns a dict from node label strings to bit arrays.  Labels absent
-    from the dict have empty bitvectors.
+    from the dict have empty bitvectors.  The small variant's width k
+    defaults to the bit length of the largest value, at least 1.
     """
     if variant == "small":
         if k is None:
-            k = default_small_width(len(a))
+            k = max(1, int(_int_values(a).max(initial=0)).bit_length())
         rt = build_reduction_small(a, k)
         return _blocks_small(rt, force_naive_bwt)
     if variant == "general":
@@ -179,6 +175,8 @@ def count_inversions_via_bwt(a, variant="small", k=None,
     >>> count_inversions_via_bwt([2, 0, 3, 1], variant="general")
     3
     >>> count_inversions_via_bwt([1, 0, 1, 0])
+    3
+    >>> count_inversions_via_bwt([2, 0, 3, 1])
     3
     """
     if variant not in ("small", "general"):

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from sst.inversions import (ReductionText, _blocks_general,
                             build_reduction_general, build_reduction_small,
-                            count_inversions_via_bwt, default_small_width,
-                            extract_wavelet_blocks)
+                            count_inversions_via_bwt, extract_wavelet_blocks)
+from sst.cli import main
 from sst.packed_text import pack
 from sst.reference_oracles import (fenwick_inversions, naive_inversions,
                                    naive_wavelet_bitvectors)
@@ -176,10 +176,16 @@ def test_naive_bwt_backend(rng):
             a, "general", force_naive_bwt=True) == naive_inversions(a)
 
 
-def test_default_small_width():
-    assert default_small_width(10) == 1
-    assert default_small_width(1 << 16) == 2
+def test_default_small_width(tmp_path, capsys):
+    # without k the small variant takes its width from the largest value
     assert count_inversions_via_bwt([1, 0, 1, 0]) == 3
+    assert count_inversions_via_bwt([2, 0, 3, 1]) == 3
+    assert count_inversions_via_bwt([0, 0, 0]) == 0
+    assert set(extract_wavelet_blocks([2, 0, 3, 1])) == {"", "0", "1"}
+    arr = tmp_path / "a.txt"
+    arr.write_text("2 0 3 1\n")
+    assert main(["inversions", "--input", str(arr), "--variant", "small"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
 
 
 def test_unknown_variant_rejected():

@@ -508,6 +508,7 @@ def save_sync_set(s, path):
 
 
 def load_sync_set(path):
+    """Read a set written by save_sync_set, rejecting malformed files."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         fields = header.split()
@@ -517,5 +518,14 @@ def load_sync_set(path):
             raise ValueError("malformed synchronizing set header: %r" % header)
         tau = int(fields[1][4:])
         n = int(fields[2][2:])
-        positions = [int(line) for line in fh if line.strip()]
-    return SyncSet(tau, n, np.asarray(positions, dtype=np.int64))
+        positions = np.asarray([int(line) for line in fh if line.strip()],
+                               dtype=np.int64)
+    if tau < 1 or 2 * tau > n:
+        raise ValueError("set header needs 1 <= tau <= n/2, got tau=%d n=%d"
+                         % (tau, n))
+    if np.any(np.diff(positions) <= 0):
+        raise ValueError("set positions are not strictly increasing")
+    if len(positions) and (positions[0] < 1
+                           or positions[-1] > n - 2 * tau + 1):
+        raise ValueError("set positions outside [1..%d]" % (n - 2 * tau + 1))
+    return SyncSet(tau, n, positions)

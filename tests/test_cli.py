@@ -150,6 +150,22 @@ def test_sync_tampered_set(tmp_path, capsys):
     assert out.startswith("density violation at i=")
 
 
+@pytest.mark.parametrize("header,body", [
+    ("# tau=3 n=96", [10, 4, 20]),
+    ("# tau=3 n=96", [4, 10, 10]),
+    ("# tau=3 n=96", [4, 10, 92]),
+    ("# tau=0 n=96", [4, 10]),
+], ids=["unsorted", "duplicate", "out-of-range", "bad-tau"])
+def test_sync_validate_rejects_malformed_set(tmp_path, capsys, header, body):
+    src = tmp_path / "t.txt"
+    src.write_bytes(bytes(range(1, 25)) * 4)
+    sset = tmp_path / "s.txt"
+    sset.write_text("\n".join([header] + [str(p) for p in body]) + "\n")
+    status, out, err = _run(capsys, "sync", "validate", "--input", str(src),
+                            "--set", str(sset))
+    assert status == 2 and out == "" and "sst: error:" in err
+
+
 def test_sync_validate_names_first_witness_past_100k_windows(tmp_path,
                                                              capsys):
     seq, tau, _, (dropped, density), (flipped, consistency) = \

@@ -61,7 +61,7 @@ def _sort_keys(pt, tau, s, order):
     k = np.searchsorted(s.positions, pos)
     # past the last member the successor reads as n + tau, never near
     near = np.append(s.positions, n + tau)[k] - pos < tau
-    tie = np.where(near, np.append(order.rank_of_index, 0)[k], 0)
+    tie = np.where(near, np.append(order.suffix_index.isa, 0)[k], 0)
     return key, np.minimum(cap, n + 1 - pos), tie
 
 
@@ -96,7 +96,7 @@ def _emit_blocks(pt, tau, s, order):
         up = typ[r] > 0
         # ascending L for type -1, descending for +1; past the last
         # member b is the sentinel, which only the text-end run reaches
-        brank = np.append(order.rank_of_index, 0)[prev[r] + 1]
+        brank = np.append(order.suffix_index.isa, 0)[prev[r] + 1]
         sa[slots] = rows[sort_rows(pack_columns(
             [(seg, int(seg[-1]) + 1), (up, 2),
              (np.where(up, n - dist, dist), n + 1), (brank, len(s) + 1)],

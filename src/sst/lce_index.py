@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .packed_text import lcp_fragments, lcp_fragments_many
-from .sync_set import construct
+from .sync_set import SyncSet, construct
 from .sync_sort import sort_sync_suffixes
 
 # pairs per numpy pass of query_many: a block's temporaries take about
@@ -45,20 +45,19 @@ class LceIndex:
         if tau < 1:
             raise ValueError("tau must be positive")
         self.tau = tau
-        self.direct = n == 1 or 2 * tau > n
-        if self.direct:
-            self.sync = None
-            self.order = None
-            self._pos = []
-            return
-        self.sync = construct(pt, tau, mode="random", seed=0)
+        # when 2tau > n the set is empty and the head compare answers
+        # every query: its limit 3tau exceeds every common extension
+        if 2 * tau > n:
+            self.sync = SyncSet(tau, n, np.zeros(0, dtype=np.int64))
+        else:
+            self.sync = construct(pt, tau, mode="random", seed=0)
         self.order = sort_sync_suffixes(pt, self.sync)
         self.order.suffix_index.prepare_lce()
         self._rank1 = self.sync.rank_structure().rank1
-        self._pos = self.sync.positions.tolist()
         # _succ[r]: the member of rank r, the sentinel for r >= |S|
         sent = self.sync.sentinel
         self._succ = np.append(self.sync.positions, [sent, sent])
+        self._succ_list = self._succ.tolist()
 
     def query(self, i, j):
         """LCE of the suffixes starting at 1-based positions i and j."""
@@ -68,37 +67,32 @@ class LceIndex:
             raise IndexError("positions out of range [1..%d]" % n)
         if i == j:
             return n - i + 1
-        if self.direct:
-            return lcp_fragments(pt, i, j, n)
         tau = self.tau
         cap = 3 * tau
         head = lcp_fragments(pt, i, j, cap)
         if head < cap:
             return head
-        rank = self._rank1
-        pos = self._pos
-        nprime = len(pos)
-        sent = self.sync.sentinel
-        ir = rank(i - 1)
-        jr = rank(j - 1)
-        si = pos[ir] if ir < nprime else sent
-        sj = pos[jr] if jr < nprime else sent
-        if si - i != sj - j:
-            return min(si - i, sj - j) + 2 * tau - 1
+        succ = self._succ_list
+        nprime = len(self.sync)
+        ir = self._rank1(i - 1)
+        jr = self._rank1(j - 1)
+        di = succ[ir] - i
+        dj = succ[jr] - j
+        if di != dj:
+            return min(di, dj) + 2 * tau - 1
         if ir == nprime or jr == nprime:
             ell = 0
         else:
             ell = self.order.suffix_index.lce(ir + 1, jr + 1)
         ai = ir + ell
         bi = jr + ell
-        a = pos[ai] if ai < nprime else sent
-        b = pos[bi] if bi < nprime else sent
+        a = succ[ai]
+        b = succ[bi]
         tail = lcp_fragments(pt, a, b, cap)
         if tail < cap:
             return a - i + tail
-        ga = (pos[ai + 1] if ai + 1 < nprime else sent) - a
-        gb = (pos[bi + 1] if bi + 1 < nprime else sent) - b
-        return a - i + min(ga, gb) + 2 * tau - 1
+        gap = min(succ[ai + 1] - a, succ[bi + 1] - b)
+        return a - i + gap + 2 * tau - 1
 
     def query_many(self, i, j):
         """query over 1-D arrays of 1-based positions, as an int64 array.
@@ -121,12 +115,8 @@ class LceIndex:
         return out
 
     def _query_block(self, i, j):
-        pt = self.pt
-        n = pt.n
-        if self.direct:
-            return lcp_fragments_many(pt, i, j, n)
         cap = 3 * self.tau
-        out = lcp_fragments_many(pt, i, j, cap)
+        out = lcp_fragments_many(self.pt, i, j, cap)
         # i == j needs no case of its own: the hop reaches the sentinel
         # on both sides and answers n - i + 1, like the head compare
         hop = np.flatnonzero(out == cap)

@@ -10,10 +10,11 @@ positions by their length-tau substring, assign an integer id to each
 class, then insert i whenever the smallest id over [i..i+tau] outside
 the highly periodic region Q is attained at i or i+tau.  What differs is
 the id assignment: uniformly random (subject to boundary classes coming
-first), fully deterministic via a scoring game, or the deterministic
-order replayed on representative blocks only, which wins when the
-alphabet and tau are small enough that few distinct block contexts
-exist.
+first), or deterministic via a scoring game.  The game has two paths,
+the scoring loop and its replay on representative blocks, which wins
+when the alphabet and tau are small enough that few distinct block
+contexts exist.  Both start from one set-up (_det_setup) and score by
+one rule (_scores); the loop updates scores locally with score_at.
 """
 
 import heapq
@@ -24,8 +25,6 @@ import numpy as np
 from .packed_text import dense_ranks, window_keys
 from .succinct import RankBitvector
 from .suffix_core import SuffixArrayIndex
-
-_UNSET = -1
 
 
 @dataclass(frozen=True)
@@ -92,30 +91,6 @@ def r_mask(psets):
     return (csum[width:width + nr] - csum[:nr]) == width
 
 
-@dataclass
-class IdAssignment:
-    """Partition of window starts into substring classes plus their ids.
-
-    Class indices are dense ranks of the underlying substrings in
-    ascending lexicographic order, so the canonical processing orders
-    are simply ascending class index.
-    """
-
-    tau: int
-    n: int
-    class_of: np.ndarray
-    id_of_class: np.ndarray
-
-    @property
-    def n_classes(self):
-        return len(self.id_of_class)
-
-    def id_values(self):
-        if np.any(self.id_of_class == _UNSET):
-            raise ValueError("identifier assignment is incomplete")
-        return self.id_of_class[self.class_of]
-
-
 def _fragment_classes(pt, length, count):
     """Ascending-lexicographic class ids of the length-`length` fragments
     at starts 1..count.
@@ -140,14 +115,12 @@ def _fragment_classes(pt, length, count):
 
 
 def build_partition(pt, tau):
+    """Class of each window start 1..n-tau+1: the dense rank of its
+    length-tau substring in ascending lexicographic order."""
     n = pt.n
     if not 1 <= tau <= n:
         raise ValueError("tau out of range")
-    nwin = n - tau + 1
-    class_of = _fragment_classes(pt, tau, nwin)
-    nc = int(class_of.max()) + 1 if nwin else 0
-    ids = np.full(nc, _UNSET, dtype=np.int64)
-    return IdAssignment(tau, n, class_of, ids)
+    return _fragment_classes(pt, tau, n - tau + 1)
 
 
 @dataclass
@@ -178,121 +151,108 @@ class SyncSet:
         return self._rank
 
 
-def construct_from_ids(pt, tau, ids, psets=None):
-    """Evaluate the window-minimum rule for a complete id assignment."""
+def construct_from_ids(pt, tau, ids, q):
+    """Evaluate the window-minimum rule for one id per window start;
+    the minimum skips the starts of the Q mask q."""
     n = pt.n
-    if psets is None:
-        psets = compute_q_and_b(pt, tau)
+    ids = np.asarray(ids, dtype=np.int64)
+    if np.any(ids < 0):
+        raise ValueError("identifier assignment is incomplete")
     nmem = n - 2 * tau + 1
     if nmem <= 0:
         return SyncSet(tau, n, np.zeros(0, dtype=np.int64))
-    vals = ids.id_values()
     big = np.int64(2 * n + 2)
-    masked = np.where(psets.q, big, vals)
+    masked = np.where(q, big, ids)
     wmin = np.lib.stride_tricks.sliding_window_view(
         masked, tau + 1).min(axis=1)
-    member = (wmin == vals[:nmem]) | (wmin == vals[tau:tau + nmem])
-    return SyncSet(tau, n, np.nonzero(member)[0].astype(np.int64) + 1)
+    member = (wmin == ids[:nmem]) | (wmin == ids[tau:tau + nmem])
+    return SyncSet(tau, n, np.flatnonzero(member).astype(np.int64) + 1)
 
 
-def _class_flags(ids, psets):
+def _class_flags(class_of, psets):
     """Per-class containment in B and in Q (classes never straddle)."""
-    nc = ids.n_classes
+    nc = int(class_of.max()) + 1
     in_b = np.zeros(nc, dtype=bool)
     in_q = np.zeros(nc, dtype=bool)
-    bpos = psets.b_positions
-    qpos = psets.q_positions
-    if len(bpos):
-        in_b[ids.class_of[bpos - 1]] = True
-    if len(qpos):
-        in_q[ids.class_of[qpos - 1]] = True
+    in_b[class_of[psets.b]] = True
+    in_q[class_of[psets.q]] = True
     if np.any(in_b & in_q):
         raise AssertionError("a class meets both Q and its boundary")
     return in_b, in_q
 
 
-def _class_position_lists(ids):
-    order = np.argsort(ids.class_of, kind="stable")
-    counts = np.bincount(ids.class_of, minlength=ids.n_classes)
-    starts = np.zeros(ids.n_classes + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    return order + 1, starts
-
-
-def construct_randomized(pt, tau, seed=0, psets=None):
+def construct_randomized(pt, tau, seed=0):
     """Random ids, boundary classes drawing the smallest ones."""
-    if psets is None:
-        psets = compute_q_and_b(pt, tau)
-    ids = build_partition(pt, tau)
-    in_b, _ = _class_flags(ids, psets)
+    psets = compute_q_and_b(pt, tau)
+    class_of = build_partition(pt, tau)
+    in_b, _ = _class_flags(class_of, psets)
     rng = np.random.default_rng(seed)
-    bcls = np.nonzero(in_b)[0]
-    rest = np.nonzero(~in_b)[0]
-    ids.id_of_class[rng.permutation(bcls)] = np.arange(len(bcls))
-    ids.id_of_class[rng.permutation(rest)] = len(bcls) + np.arange(len(rest))
-    return construct_from_ids(pt, tau, ids, psets)
+    bcls = np.flatnonzero(in_b)
+    rest = np.flatnonzero(~in_b)
+    ids = np.empty(len(in_b), dtype=np.int64)
+    ids[rng.permutation(bcls)] = np.arange(len(bcls))
+    ids[rng.permutation(rest)] = len(bcls) + np.arange(len(rest))
+    return construct_from_ids(pt, tau, ids[class_of], psets.q)
 
 
-def _initial_scores(defined, tau, agg, class_of):
-    """Scan for maximal undefined runs and score their positions.
+def _det_setup(pt, tau):
+    """The start of both deterministic paths, before any scoring.
 
-    Runs shorter than tau+1 stay inactive.  Within an active run the
-    leftmost and rightmost floor(tau/3) positions score -1 and the rest
-    +2, which keeps every run's total non-negative.
+    Returns the Q mask, the class of each window start, the per-class
+    flag "in B or in Q", the 0-based windows of class c as
+    pos0[starts[c]:starts[c+1]], the class ids (B classes first, then Q
+    classes, each in ascending substring order, -1 for the rest) and the
+    mask of the windows whose class has an id.
+    """
+    psets = compute_q_and_b(pt, tau)
+    class_of = build_partition(pt, tau)
+    in_b, in_q = _class_flags(class_of, psets)
+    nc = len(in_b)
+    pos0 = np.argsort(class_of, kind="stable")
+    starts = np.zeros(nc + 1, dtype=np.int64)
+    np.cumsum(np.bincount(class_of, minlength=nc), out=starts[1:])
+    early = np.concatenate([np.flatnonzero(in_b), np.flatnonzero(in_q)])
+    ids = np.full(nc, -1, dtype=np.int64)
+    ids[early] = np.arange(len(early))
+    fixed = in_b | in_q
+    return psets.q, class_of, fixed, pos0, starts, ids, fixed[class_of]
+
+
+def _scores(defined, tau):
+    """Score of every window start, given the starts already defined.
+
+    Maximal runs of undefined starts shorter than tau+1 stay inactive
+    (score 0).  Within an active run the leftmost and rightmost
+    floor(tau/3) starts score -1 and the rest +2, which keeps every
+    run's total non-negative.
     """
     nwin = len(defined)
+    idx = np.arange(nwin, dtype=np.int64)
+    last_def = np.maximum.accumulate(np.where(defined, idx, -1))
+    next_def = nwin - 1 - np.maximum.accumulate(
+        np.where(defined[::-1], idx, -1))[::-1]
     fl = tau // 3
-    score = np.zeros(nwin, dtype=np.int8)
-    i = 0
-    while i < nwin:
-        if defined[i]:
-            i += 1
-            continue
-        j = i
-        while j < nwin and not defined[j]:
-            j += 1
-        if j - i >= tau + 1:
-            score[i:i + fl] = -1
-            score[j - fl:j] = -1
-            score[i + fl:j - fl] = 2
-        i = j
-    idx = np.nonzero(score)[0]
-    np.add.at(agg, class_of[idx], score[idx])
-    return score
+    edge = (idx - last_def - 1 < fl) | (next_def - idx - 1 < fl)
+    active = ~defined & (next_def - last_def - 1 >= tau + 1)
+    return np.where(active, np.where(edge, -1, 2), 0)
 
 
-def construct_deterministic(pt, tau, psets=None):
+def construct_deterministic(pt, tau):
     """Scored three-phase id assignment, bit-reproducible.
 
     Boundary classes first, then highly periodic classes, both in
     ascending substring order.  Remaining classes are picked by always
     taking the smallest-substring class whose active positions have a
-    non-negative aggregate score.
+    non-negative aggregate score; a pick updates only the scores within
+    tau of the starts it defines.
     """
-    if psets is None:
-        psets = compute_q_and_b(pt, tau)
-    ids = build_partition(pt, tau)
-    nwin = len(ids.class_of)
-    nc = ids.n_classes
-    in_b, in_q = _class_flags(ids, psets)
-    pos_sorted, starts = _class_position_lists(ids)
-    class_of = ids.class_of
-    defined = bytearray(nwin)
-    next_id = 0
-    for c in np.nonzero(in_b)[0]:
-        ids.id_of_class[c] = next_id
-        next_id += 1
-        for p in pos_sorted[starts[c]:starts[c + 1]]:
-            defined[p - 1] = 1
-    for c in np.nonzero(in_q)[0]:
-        ids.id_of_class[c] = next_id
-        next_id += 1
-        for p in pos_sorted[starts[c]:starts[c + 1]]:
-            defined[p - 1] = 1
-
-    agg = np.zeros(nc, dtype=np.int64)
-    score = _initial_scores(defined, tau, agg, class_of)
-    processed = in_b | in_q
+    q, class_of, processed, pos0, starts, ids, done = _det_setup(pt, tau)
+    nwin = len(class_of)
+    nc = len(processed)
+    score = _scores(done, tau)
+    agg = np.bincount(class_of, weights=score, minlength=nc).astype(np.int64)
+    defined = bytearray(done.tobytes())
+    next_id = int(processed.sum())
     fl = tau // 3
     cap = tau + 1
 
@@ -309,9 +269,9 @@ def construct_deterministic(pt, tau, psets=None):
             return 0
         return -1 if (a < fl or b < fl) else 2
 
-    heap = [int(c) for c in np.nonzero(~processed & (agg >= 0))[0]]
+    heap = [int(c) for c in np.flatnonzero(~processed & (agg >= 0))]
     heapq.heapify(heap)
-    remaining = int(nc - processed.sum())
+    remaining = nc - next_id
     cls_list = class_of.tolist()
     score_l = score.tolist()
     while remaining:
@@ -322,10 +282,9 @@ def construct_deterministic(pt, tau, psets=None):
             continue
         processed[c] = True
         remaining -= 1
-        ids.id_of_class[c] = next_id
+        ids[c] = next_id
         next_id += 1
-        for p in pos_sorted[starts[c]:starts[c + 1]]:
-            p0 = p - 1
+        for p0 in pos0[starts[c]:starts[c + 1]].tolist():
             was = score_l[p0]
             defined[p0] = 1
             if not was:
@@ -343,7 +302,7 @@ def construct_deterministic(pt, tau, psets=None):
                 agg[cq] = before + new - old
                 if (not processed[cq]) and before < 0 <= agg[cq]:
                     heapq.heappush(heap, cq)
-    return construct_from_ids(pt, tau, ids, psets)
+    return construct_from_ids(pt, tau, ids[class_of], q)
 
 
 def packed_fast_applicable(pt, tau):
@@ -353,7 +312,7 @@ def packed_fast_applicable(pt, tau):
     return sigma ** (5 * tau) <= n
 
 
-def construct_packed_fast(pt, tau, psets=None):
+def construct_packed_fast(pt, tau):
     """Deterministic construction replayed on representative blocks.
 
     Positions are grouped into length-tau blocks; blocks sharing their
@@ -361,19 +320,15 @@ def construct_packed_fast(pt, tau, psets=None):
     inspects one representative per context and weights its scores by
     the context multiplicity.  A block whose context leaves the text
     gets a context of its own.  Requires packed_fast_applicable; the
-    output equals construct_deterministic's.
+    output equals construct_deterministic's, from the same set-up and
+    the same score rule.
     """
     if not packed_fast_applicable(pt, tau):
         raise ValueError("block replay needs sigma**(5tau) <= n")
     n = pt.n
-    if psets is None:
-        psets = compute_q_and_b(pt, tau)
-    ids = build_partition(pt, tau)
-    nwin = len(ids.class_of)
-    nc = ids.n_classes
-    in_b, in_q = _class_flags(ids, psets)
-    pos_sorted, starts = _class_position_lists(ids)
-    class_of = ids.class_of
+    q, class_of, processed, pos0, starts, ids, done = _det_setup(pt, tau)
+    nwin = len(class_of)
+    nc = len(processed)
 
     nblocks = -(-nwin // tau)
     # block b's context is T[b*tau-2tau+2..b*tau+2tau+1]; negative ids
@@ -391,34 +346,20 @@ def construct_packed_fast(pt, tau, psets=None):
     rep_weight = np.repeat(mult, tau)[keep]
     rep_class = class_of[rep_pos0]
 
-    early = np.concatenate([np.nonzero(in_b)[0], np.nonzero(in_q)[0]])
-    ids.id_of_class[early] = np.arange(len(early))
-    next_id = len(early)
-    processed = in_b | in_q
-    defined = processed[class_of]
-    fl = tau // 3
-    idx = np.arange(nwin, dtype=np.int64)
+    next_id = int(processed.sum())
     while not processed.all():
-        last_def = np.maximum.accumulate(np.where(defined, idx, -1))
-        next_def = nwin - 1 - np.maximum.accumulate(
-            np.where(defined[::-1], idx, -1))[::-1]
-        runlen = next_def - last_def - 1
-        left_off = idx - last_def - 1
-        right_off = next_def - idx - 1
-        active = ~defined & (runlen >= tau + 1)
-        score = np.where(
-            active, np.where((left_off < fl) | (right_off < fl), -1, 2), 0)
+        score = _scores(done, tau)
         agg = np.zeros(nc, dtype=np.int64)
         np.add.at(agg, rep_class, score[rep_pos0] * rep_weight)
-        ready = np.nonzero(~processed & (agg >= 0))[0]
+        ready = np.flatnonzero(~processed & (agg >= 0))
         if not len(ready):
             raise AssertionError("no class with non-negative score left")
         c = int(ready[0])
         processed[c] = True
-        ids.id_of_class[c] = next_id
+        ids[c] = next_id
         next_id += 1
-        defined[pos_sorted[starts[c]:starts[c + 1]] - 1] = True
-    return construct_from_ids(pt, tau, ids, psets)
+        done[pos0[starts[c]:starts[c + 1]]] = True
+    return construct_from_ids(pt, tau, ids[class_of], q)
 
 
 def construct(pt, tau, mode="det", seed=0):

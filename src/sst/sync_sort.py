@@ -101,23 +101,18 @@ def build_tprime(pt, s):
 
 @dataclass
 class SortedSyncOrder:
-    """Suffix order of the reduced string, mapped back to text positions."""
+    """The reduced string and its suffix-array index: suffix_index.sa
+    lists member indices (1-based) in suffix order, suffix_index.isa
+    gives each member's rank."""
 
     tprime: TPrimeString
     suffix_index: SuffixArrayIndex
-    order: np.ndarray
-    rank_of_index: np.ndarray
 
     def __len__(self):
-        return len(self.order)
+        return len(self.tprime)
 
 
 def sort_sync_suffixes(pt, s):
-    """Sort the text suffixes starting at synchronizing positions.
-
-    Returns the order as indices into s.positions (1-based) and the
-    inverse permutation.
-    """
+    """Sort the text suffixes starting at synchronizing positions."""
     tp = build_tprime(pt, s)
-    idx = build_suffix_array(tp.symbols)
-    return SortedSyncOrder(tp, idx, idx.sa, idx.isa)
+    return SortedSyncOrder(tp, build_suffix_array(tp.symbols))

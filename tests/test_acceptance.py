@@ -188,7 +188,8 @@ def _sorted_order_matches(pt, idx, tau):
     s = construct_deterministic(pt, tau)
     order = sort_sync_suffixes(pt, s)
     expect = idx.sa[np.isin(idx.sa, s.positions)]
-    return np.array_equal(order.tprime.positions[order.order - 1], expect)
+    got = order.tprime.positions[order.suffix_index.sa - 1]
+    return np.array_equal(got, expect)
 
 
 def test_criterion_4_sorted_sync_suffixes():

@@ -1,9 +1,12 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
 from sst.packed_text import pack
-from sst.sync_set import (SyncSet, build_partition, compute_q_and_b,
-                          construct, construct_deterministic,
+from sst.sync_set import (SyncSet, _scores, build_partition,
+                          compute_q_and_b, construct, construct_deterministic,
                           construct_packed_fast, construct_randomized,
                           load_sync_set, packed_fast_applicable,
                           save_sync_set, validate_sync_set)
@@ -120,9 +123,33 @@ def test_partition_of_wide_windows_matches_grouping(rng, sigma, tau):
     pt = pack(seq, sigma)
     wins = [tuple(seq[i:i + tau]) for i in range(len(seq) - tau + 1)]
     rank = {w: r for r, w in enumerate(sorted(set(wins)))}
-    got = build_partition(pt, tau).class_of
+    got = build_partition(pt, tau)
     assert got.tolist() == [rank[w] for w in wins]
 
+
+def _scan_scores(defined, tau):
+    # the rule by a scan over the maximal runs of undefined starts
+    score = [0] * len(defined)
+    fl = tau // 3
+    i = 0
+    while i < len(defined):
+        j = i
+        while j < len(defined) and not defined[j]:
+            j += 1
+        if j - i >= tau + 1:
+            for k in range(i, j):
+                score[k] = -1 if k - i < fl or j - 1 - k < fl else 2
+        i = j + 1
+    return score
+
+
+def test_scores_match_run_scan(rng):
+    for _ in range(200):
+        n = rng.randrange(1, 80)
+        density = rng.random()
+        defined = np.array([rng.random() < density for _ in range(n)])
+        tau = rng.randrange(1, 13)
+        assert _scores(defined, tau).tolist() == _scan_scores(defined, tau)
 
 def test_unary_text_gives_empty_set():
     pt = pack([0] * 64, 2)
@@ -249,3 +276,52 @@ def test_load_rejects_bad_header(tmp_path):
     path.write_text("tau=3 n=80\n1\n")
     with pytest.raises(ValueError):
         load_sync_set(path)
+
+
+# sha256 of test_frozen_positions' sets, recorded before the det paths
+# were folded onto one score rule and one set-up
+FROZEN = "65cdc2bda2276077dc8871161828d236392d68f87a78e913dc40667d87d53835"
+
+
+def _frozen_cases():
+    """About sixty seeded (text, sigma, tau) cases: random, periodic and
+    repeat texts over four alphabets, plus sizes where block replay runs."""
+    rng = random.Random(1904)
+    for sigma in (2, 3, 4, 16):
+        for kind in ("random", "mosaic", "repeats"):
+            for _ in range(4):
+                n = rng.randrange(40, 360)
+                if kind == "random":
+                    seq = random_text(rng, n, sigma)
+                elif kind == "mosaic":
+                    seq = periodic_mosaic(rng, n, sigma)
+                else:
+                    base = random_text(rng, rng.randrange(8, 40), sigma)
+                    seq = (base * (n // len(base) + 1))[:n]
+                    for _ in range(rng.randrange(0, 4)):
+                        seq[rng.randrange(n)] = rng.randrange(sigma)
+                yield seq, sigma, rng.randrange(1, min(12, n // 2) + 1)
+    for sigma, n, tau in ((2, 40, 1), (2, 300, 1), (2, 1100, 2),
+                          (3, 250, 1), (3, 900, 1), (4, 1100, 1)):
+        for kind in (random_text, periodic_mosaic):
+            yield kind(rng, n, sigma), sigma, tau
+
+
+def test_frozen_positions():
+    # pins the exact sets of both det paths and two random seeds; a
+    # change here is a change of output, not only of speed
+    h = hashlib.sha256()
+    cases = applicable = 0
+    for seq, sigma, tau in _frozen_cases():
+        pt = pack(seq, sigma)
+        sets = [construct_deterministic(pt, tau)]
+        if packed_fast_applicable(pt, tau):
+            applicable += 1
+            sets.append(construct_packed_fast(pt, tau))
+        sets += [construct_randomized(pt, tau, seed=seed) for seed in (0, 7)]
+        for s in sets:
+            h.update(np.asarray(s.positions, dtype=np.int64).tobytes())
+            h.update(b"|")
+        cases += 1
+    assert (cases, applicable) == (60, 12)
+    assert h.hexdigest() == FROZEN

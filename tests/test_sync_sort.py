@@ -17,7 +17,7 @@ def _check_order(seq, tau):
     order = sort_sync_suffixes(pt, s)
     idx = SuffixArrayIndex(seq)
     want = sorted(s.positions, key=lambda p: idx.isa[p - 1])
-    got = order.tprime.positions[order.order - 1]
+    got = order.tprime.positions[order.suffix_index.sa - 1]
     assert list(got) == [int(p) for p in want]
     return order
 
@@ -53,8 +53,8 @@ def test_rank_of_index_inverts_order(rng):
     s = construct_deterministic(pt, 3)
     order = sort_sync_suffixes(pt, s)
     for t in range(len(order)):
-        r = int(order.rank_of_index[t])
-        assert int(order.order[r - 1]) == t + 1
+        r = int(order.suffix_index.isa[t])
+        assert int(order.suffix_index.sa[r - 1]) == t + 1
 
 
 def test_tprime_orders_like_text_suffixes(rng):

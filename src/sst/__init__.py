@@ -6,9 +6,8 @@ from .packed_text import (PackedText, dense_ranks, lcp_fragments,
 from .succinct import RankBitvector, count_inversions_bits
 from .suffix_core import SuffixArrayIndex, build_suffix_array
 from .sync_set import (SyncSet, compute_q_and_b, construct,
-                       construct_deterministic, construct_packed_fast,
-                       construct_randomized, load_sync_set, save_sync_set,
-                       validate_sync_set)
+                       construct_deterministic, construct_randomized,
+                       load_sync_set, save_sync_set, validate_sync_set)
 from .sync_sort import SortedSyncOrder, TPrimeString, sort_sync_suffixes
 from .lce_index import LceIndex, default_tau
 from .bwt_builder import BwtResult, build_bwt, invert_bwt, read_bwt, write_bwt

@@ -265,6 +265,8 @@ def cmd_bench(args):
         pt = _bench_text(n, args.seed)
         tau = max(1, min(8, n // 2))
         tasks = [
+            ("sync_construct_det",
+             lambda pt=pt, tau=tau: construct(pt, tau, mode="det")),
             ("sync_construct_random",
              lambda pt=pt, tau=tau: construct(pt, tau, mode="random")),
             ("lce_build", lambda pt=pt: LceIndex(pt)),
@@ -283,10 +285,6 @@ def cmd_bench(args):
             ("lce_query_many",
              lambda idx=idx, qi=qi, qj=qj: idx.query_many(qi, qj)),
         ]
-        if n <= 1 << 20:
-            tasks.insert(0, ("sync_construct_det",
-                             lambda pt=pt, tau=tau: construct(
-                                 pt, tau, mode="det")))
         timed = {}
         for name, fn in tasks:
             timed[name] = _time_call(fn, args.repeat)

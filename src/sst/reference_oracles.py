@@ -91,7 +91,7 @@ def naive_period(seq):
     if m == 0:
         raise ValueError("period of the empty string is undefined")
     for p in range(1, m + 1):
-        if all(x[t] == x[t + p] for t in range(m - p)):
+        if x[:m - p] == x[p:]:
             return p
     return m
 
@@ -159,7 +159,9 @@ def naive_sync_positions_r(seq, tau):
 
 def naive_q_positions(seq, tau):
     """Positions i in [1..n-tau+1] whose length-tau window has period at
-    most tau/3."""
+    most tau/3; none below tau = 3, as every period is at least 1."""
+    if tau < 3:
+        return []
     s = _as_list(seq)
     n = len(s)
     return [i for i in range(1, n - tau + 2)
@@ -169,7 +171,7 @@ def naive_q_positions(seq, tau):
 def naive_b_positions(seq, tau):
     """Boundary positions: i not in Q such that dropping the last or the
     first symbol of the length-tau window leaves a highly periodic one."""
-    if tau == 1:
+    if tau < 3:
         return []
     s = _as_list(seq)
     n = len(s)
@@ -180,5 +182,50 @@ def naive_b_positions(seq, tau):
             continue
         if (3 * naive_period(s[i - 1:i + tau - 2]) <= tau
                 or 3 * naive_period(s[i:i + tau - 1]) <= tau):
+            out.append(i)
+    return out
+
+
+def naive_det_positions(seq, tau):
+    """The deterministic synchronizing set, by playing its scoring game.
+
+    Window classes are the distinct length-tau windows in ascending
+    order.  Classes meeting B take the first ids, then classes meeting
+    Q.  Each round then scores every start from scratch: a maximal run
+    of undefined starts of length at least tau+1 scores -1 on its first
+    and last floor(tau/3) starts and +2 elsewhere, other starts 0.  The
+    smallest unnumbered class whose starts sum to at least 0 takes the
+    next id.  Position i joins the set when the smallest id over the
+    starts i..i+tau outside Q sits at i or at i+tau.
+    """
+    s = _as_list(seq)
+    n = len(s)
+    wins = [tuple(s[i:i + tau]) for i in range(n - tau + 1)]
+    rank = {w: r for r, w in enumerate(sorted(set(wins)))}
+    cls = [rank[w] for w in wins]
+    q = set(naive_q_positions(s, tau))
+    ids = {}
+    for pos in (naive_b_positions(s, tau), sorted(q)):
+        for c in sorted({cls[i - 1] for i in pos}):
+            ids.setdefault(c, len(ids))
+    while len(ids) < len(rank):
+        total = [0] * len(rank)
+        run = []
+        for c in cls + [None]:
+            if c is not None and c not in ids:
+                run.append(c)
+                continue
+            if len(run) >= tau + 1:
+                edge = tau // 3
+                for j, rc in enumerate(run):
+                    total[rc] += -1 if min(j, len(run) - 1 - j) < edge else 2
+            run = []
+        c = min(c for c in range(len(rank)) if c not in ids and total[c] >= 0)
+        ids[c] = len(ids)
+    out = []
+    for i in range(1, n - 2 * tau + 2):
+        free = {j: ids[cls[j - 1]] for j in range(i, i + tau + 1)
+                if j not in q}
+        if free and min(free.values()) in (free.get(i), free.get(i + tau)):
             out.append(i)
     return out

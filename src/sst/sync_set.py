@@ -10,11 +10,9 @@ positions by their length-tau substring, assign an integer id to each
 class, then insert i whenever the smallest id over [i..i+tau] outside
 the highly periodic region Q is attained at i or i+tau.  What differs is
 the id assignment: uniformly random (subject to boundary classes coming
-first), or deterministic via a scoring game.  The game has two paths,
-the scoring loop and its replay on representative blocks, which wins
-when the alphabet and tau are small enough that few distinct block
-contexts exist.  Both start from one set-up (_det_setup) and score by
-one rule (_scores); the loop updates scores locally with score_at.
+first), or deterministic via a scoring game.  The game's scores follow
+one rule (_scores); construct_deterministic computes them once and then,
+per picked class, rescores only the starts near the class's starts.
 """
 
 import heapq
@@ -195,29 +193,6 @@ def construct_randomized(pt, tau, seed=0):
     return construct_from_ids(pt, tau, ids[class_of], psets.q)
 
 
-def _det_setup(pt, tau):
-    """The start of both deterministic paths, before any scoring.
-
-    Returns the Q mask, the class of each window start, the per-class
-    flag "in B or in Q", the 0-based windows of class c as
-    pos0[starts[c]:starts[c+1]], the class ids (B classes first, then Q
-    classes, each in ascending substring order, -1 for the rest) and the
-    mask of the windows whose class has an id.
-    """
-    psets = compute_q_and_b(pt, tau)
-    class_of = build_partition(pt, tau)
-    in_b, in_q = _class_flags(class_of, psets)
-    nc = len(in_b)
-    pos0 = np.argsort(class_of, kind="stable")
-    starts = np.zeros(nc + 1, dtype=np.int64)
-    np.cumsum(np.bincount(class_of, minlength=nc), out=starts[1:])
-    early = np.concatenate([np.flatnonzero(in_b), np.flatnonzero(in_q)])
-    ids = np.full(nc, -1, dtype=np.int64)
-    ids[early] = np.arange(len(early))
-    fixed = in_b | in_q
-    return psets.q, class_of, fixed, pos0, starts, ids, fixed[class_of]
-
-
 def _scores(defined, tau):
     """Score of every window start, given the starts already defined.
 
@@ -242,38 +217,37 @@ def construct_deterministic(pt, tau):
 
     Boundary classes first, then highly periodic classes, both in
     ascending substring order.  Remaining classes are picked by always
-    taking the smallest-substring class whose active positions have a
-    non-negative aggregate score; a pick updates only the scores within
-    tau of the starts it defines.
+    taking the smallest-substring class whose starts have a non-negative
+    score sum.  A score depends only on the set of defined starts, so a
+    pick defines all its starts at once and then rewrites, in one pass,
+    just the scores its active starts change.
     """
-    q, class_of, processed, pos0, starts, ids, done = _det_setup(pt, tau)
-    nwin = len(class_of)
-    nc = len(processed)
-    score = _scores(done, tau)
-    agg = np.bincount(class_of, weights=score, minlength=nc).astype(np.int64)
-    defined = bytearray(done.tobytes())
-    next_id = int(processed.sum())
+    psets = compute_q_and_b(pt, tau)
+    class_of = build_partition(pt, tau)
+    in_b, in_q = _class_flags(class_of, psets)
+    nc, nwin = len(in_b), len(class_of)
+    pos0 = np.argsort(class_of, kind="stable")
+    starts = [0] + np.cumsum(np.bincount(class_of, minlength=nc)).tolist()
+    early = np.concatenate([np.flatnonzero(in_b), np.flatnonzero(in_q)])
+    ids = np.full(nc, -1, dtype=np.int64)
+    ids[early] = np.arange(len(early))
+    processed = in_b | in_q
+
+    # Outside the text every start counts as defined, like the ends of
+    # _scores' runs, so each start sees tau+1 neighbours on either side.
+    reach = tau + 1
     fl = tau // 3
-    cap = tau + 1
+    pad = np.ones(nwin + 2 * reach, dtype=bool)
+    defined = pad[reach:reach + nwin]
+    defined[:] = processed[class_of]
+    around = np.lib.stride_tricks.sliding_window_view(pad, 2 * reach + 1)
+    score = _scores(defined, tau).astype(np.int8)
+    agg = np.bincount(class_of, weights=score, minlength=nc).astype(np.int64)
 
-    def score_at(q0):
-        if defined[q0]:
-            return 0
-        a = 0
-        while a < cap and q0 - 1 - a >= 0 and not defined[q0 - 1 - a]:
-            a += 1
-        b = 0
-        while b < cap and q0 + 1 + b < nwin and not defined[q0 + 1 + b]:
-            b += 1
-        if a + b + 1 < tau + 1:
-            return 0
-        return -1 if (a < fl or b < fl) else 2
-
-    heap = [int(c) for c in np.flatnonzero(~processed & (agg >= 0))]
+    heap = np.flatnonzero(~processed & (agg >= 0)).tolist()
     heapq.heapify(heap)
+    next_id = len(early)
     remaining = nc - next_id
-    cls_list = class_of.tolist()
-    score_l = score.tolist()
     while remaining:
         if not heap:
             raise AssertionError("no class with non-negative score left")
@@ -284,90 +258,42 @@ def construct_deterministic(pt, tau):
         remaining -= 1
         ids[c] = next_id
         next_id += 1
-        for p0 in pos0[starts[c]:starts[c + 1]].tolist():
-            was = score_l[p0]
-            defined[p0] = 1
-            if not was:
-                continue
-            agg[c] -= was
-            score_l[p0] = 0
-            for q0 in range(max(0, p0 - tau), min(nwin, p0 + tau + 1)):
-                new = score_at(q0)
-                old = score_l[q0]
-                if new == old:
-                    continue
-                score_l[q0] = new
-                cq = cls_list[q0]
-                before = agg[cq]
-                agg[cq] = before + new - old
-                if (not processed[cq]) and before < 0 <= agg[cq]:
-                    heapq.heappush(heap, cq)
-    return construct_from_ids(pt, tau, ids[class_of], q)
-
-
-def packed_fast_applicable(pt, tau):
-    n, sigma = pt.n, pt.sigma
-    if 4 * tau * (sigma).bit_length() > 62:
-        return False
-    return sigma ** (5 * tau) <= n
-
-
-def construct_packed_fast(pt, tau):
-    """Deterministic construction replayed on representative blocks.
-
-    Positions are grouped into length-tau blocks; blocks sharing their
-    4tau-symbol context behave identically, so each scoring round only
-    inspects one representative per context and weights its scores by
-    the context multiplicity.  A block whose context leaves the text
-    gets a context of its own.  Requires packed_fast_applicable; the
-    output equals construct_deterministic's, from the same set-up and
-    the same score rule.
-    """
-    if not packed_fast_applicable(pt, tau):
-        raise ValueError("block replay needs sigma**(5tau) <= n")
-    n = pt.n
-    q, class_of, processed, pos0, starts, ids, done = _det_setup(pt, tau)
-    nwin = len(class_of)
-    nc = len(processed)
-
-    nblocks = -(-nwin // tau)
-    # block b's context is T[b*tau-2tau+2..b*tau+2tau+1]; negative ids
-    # keep the contexts that leave the text apart from every other
-    first = np.arange(nblocks) * tau - 2 * tau + 2
-    inside = (first >= 1) & (first + 4 * tau - 1 <= n)
-    ctx = -1 - np.arange(nblocks)
-    ctx[inside] = window_keys(pt, 4 * tau, first[inside])[0]
-    _, rep_blocks, inv = np.unique(ctx, return_index=True, return_inverse=True)
-    mult = np.bincount(inv, minlength=len(rep_blocks))
-
-    rep_pos0 = (rep_blocks[:, None] * tau + np.arange(tau)).ravel()
-    keep = rep_pos0 < nwin
-    rep_pos0 = rep_pos0[keep]
-    rep_weight = np.repeat(mult, tau)[keep]
-    rep_class = class_of[rep_pos0]
-
-    next_id = int(processed.sum())
-    while not processed.all():
-        score = _scores(done, tau)
-        agg = np.zeros(nc, dtype=np.int64)
-        np.add.at(agg, rep_class, score[rep_pos0] * rep_weight)
-        ready = np.flatnonzero(~processed & (agg >= 0))
-        if not len(ready):
-            raise AssertionError("no class with non-negative score left")
-        c = int(ready[0])
-        processed[c] = True
-        ids[c] = next_id
-        next_id += 1
-        done[pos0[starts[c]:starts[c + 1]]] = True
-    return construct_from_ids(pt, tau, ids[class_of], q)
+        mem = pos0[starts[c]:starts[c + 1]]
+        defined[mem] = True
+        # Only starts of active runs move other scores.  Each such start p
+        # splits its run: a side whose next defined start lies within
+        # tau+1 is now a short run and scores 0; a longer side keeps its
+        # scores but for the fl starts next to p, which turn -1.
+        new_def = mem[score[mem] != 0]
+        m = len(new_def)
+        if not m:
+            continue
+        score[new_def] = 0
+        near = around[new_def]
+        # rows 0..m-1 look left of each new start, rows m..2m-1 right;
+        # run counts the undefined starts before the first defined one
+        sides = np.concatenate([near[:, reach - 1::-1], near[:, reach + 1:]])
+        run = sides.argmax(axis=1)
+        short = sides[np.arange(2 * m), run]
+        size = np.where(short, run, fl)
+        # a short run between two new starts is zeroed once, by the left one
+        size[1:m][new_def[1:] - new_def[:-1] == run[1:m] + 1] = 0
+        first = np.concatenate([new_def - size[:m], new_def + 1])
+        at = np.arange(size.sum()) + (first - size.cumsum() + size).repeat(size)
+        new = short.repeat(size) - 1
+        delta = new - score[at]
+        score[at] = new
+        cls = class_of[at]
+        before = agg[cls]
+        np.add.at(agg, cls, delta)
+        for cq in set(cls[(before < 0) & (agg[cls] >= 0)].tolist()):
+            heapq.heappush(heap, cq)
+    return construct_from_ids(pt, tau, ids[class_of], psets.q)
 
 
 def construct(pt, tau, mode="det", seed=0):
-    """The "det" or "random" set; "det" replays on blocks where
-    packed_fast_applicable holds, else runs the scoring loop."""
+    """The "det" or "random" synchronizing set."""
     if mode == "det":
-        if packed_fast_applicable(pt, tau):
-            return construct_packed_fast(pt, tau)
         return construct_deterministic(pt, tau)
     if mode == "random":
         return construct_randomized(pt, tau, seed=seed)

@@ -18,12 +18,12 @@ from sst.cli import main as cli_main
 from sst.inversions import count_inversions_via_bwt, extract_wavelet_blocks
 from sst.lce_index import LceIndex
 from sst.packed_text import pack
-from sst.reference_oracles import (fenwick_inversions, naive_bwt, naive_lce,
+from sst.reference_oracles import (fenwick_inversions, naive_bwt,
+                                   naive_det_positions, naive_lce,
                                    naive_wavelet_bitvectors)
 from sst.suffix_core import SuffixArrayIndex
 from sst.sync_set import (compute_q_and_b, construct_deterministic,
-                          construct_packed_fast, construct_randomized,
-                          packed_fast_applicable, validate_sync_set)
+                          construct_randomized, validate_sync_set)
 from sst.sync_sort import sort_sync_suffixes
 
 from conftest import (all_binary_texts, fibonacci_word, full_profile,
@@ -118,8 +118,10 @@ def test_criterion_2_sync_validity_and_size():
             psets = compute_q_and_b(pt, tau)
             assert int(psets.b.sum()) <= 6 * n / tau
             sets = [construct_deterministic(pt, tau)]
-            if packed_fast_applicable(pt, tau):
-                sets.append(construct_packed_fast(pt, tau))
+            if (sets[0].positions.tolist()
+                    != naive_det_positions(arr.tolist(), tau)):
+                _report(2, False, "det differs from its game n=%d tau=%d"
+                        % (n, tau))
             sets.extend(construct_randomized(pt, tau, seed=sd)
                         for sd in seeds)
             for s in sets:
@@ -280,7 +282,7 @@ def test_criterion_5_lce_exactness():
             % (pairs, time.time() - t0))
 
 
-def test_criterion_6_fast_equals_deterministic():
+def test_criterion_6_det_matches_game():
     t0 = time.time()
     want = 200 if FULL else 60
     gen = random.Random(0xFA57)
@@ -295,16 +297,13 @@ def test_criterion_6_fast_equals_deterministic():
         if sigma ** (5 * tau) > n:
             continue
         rng = np.random.default_rng(gen.randrange(1 << 30))
-        pt = pack(rng.integers(0, sigma, size=n, dtype=np.uint8), sigma)
-        if not packed_fast_applicable(pt, tau):
-            continue
-        det = construct_deterministic(pt, tau)
-        fast = construct_packed_fast(pt, tau)
-        if not np.array_equal(det.positions, fast.positions):
+        arr = rng.integers(0, sigma, size=n, dtype=np.uint8)
+        det = construct_deterministic(pack(arr, sigma), tau)
+        if det.positions.tolist() != naive_det_positions(arr.tolist(), tau):
             _report(6, False, "divergence n=%d sigma=%d tau=%d"
                     % (n, sigma, tau))
         made += 1
-    _report(6, True, "%d applicable texts bit-identical, %.1fs"
+    _report(6, True, "det matches the definitional game on %d texts, %.1fs"
             % (made, time.time() - t0))
 
 

@@ -109,6 +109,21 @@ def test_sync_build_validate_stats(tmp_path, capsys):
     assert "size=" in out and "bound_30n_over_tau=" in out
 
 
+def test_sync_default_tau_past_key_capacity(tmp_path, capsys):
+    # the default tau = n // 64 = 64 exceeds the byte key capacity of 16,
+    # so the det classes come from suffix order
+    src = tmp_path / "t.txt"
+    src.write_bytes(np.random.default_rng(4096).integers(
+        0, 256, size=4096, dtype=np.uint8).tobytes())
+    sset = tmp_path / "s.txt"
+    assert _run(capsys, "sync", "build", "--input", str(src),
+                "--output", str(sset))[0] == 0
+    assert sset.read_text().splitlines()[0] == "# tau=64 n=4096"
+    status, out, _ = _run(capsys, "sync", "validate", "--input", str(src),
+                          "--set", str(sset))
+    assert status == 0 and out.strip() == "valid"
+
+
 def test_sync_mode_fast_is_rejected(tmp_path):
     src = tmp_path / "t.txt"
     src.write_bytes(bytes(range(1, 25)) * 4)

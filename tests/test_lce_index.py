@@ -50,8 +50,7 @@ def test_structured_texts(rng):
 
 
 def test_mosaic_tau8_all_pairs():
-    # sigma**(5 tau) > n: the packed deterministic construction would not
-    # apply here, and 6tau*bits > 62 for the reduced string
+    # 6tau*bits > 62 for the reduced string
     seq = periodic_mosaic(random.Random(8), 200, 4)
     _check_all_pairs(seq, tau=8)
 

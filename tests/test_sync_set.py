@@ -7,19 +7,19 @@ import pytest
 from sst.packed_text import pack
 from sst.sync_set import (SyncSet, _scores, build_partition,
                           compute_q_and_b, construct, construct_deterministic,
-                          construct_packed_fast, construct_randomized,
-                          load_sync_set, packed_fast_applicable,
+                          construct_randomized, load_sync_set,
                           save_sync_set, validate_sync_set)
-from sst.reference_oracles import naive_b_positions, naive_q_positions
+from sst.reference_oracles import (naive_b_positions, naive_det_positions,
+                                   naive_q_positions)
 
 from conftest import (all_binary_texts, full_profile, large_tampered_sets,
                       periodic_mosaic, random_text)
 
 
 def _modes(pt, tau, seeds=(0, 1)):
-    yield construct_deterministic(pt, tau)
-    if packed_fast_applicable(pt, tau):
-        yield construct_packed_fast(pt, tau)
+    det = construct_deterministic(pt, tau)
+    assert det.positions.tolist() == naive_det_positions(pt.to_list(), tau)
+    yield det
     for seed in seeds:
         yield construct_randomized(pt, tau, seed=seed)
 
@@ -215,19 +215,25 @@ def test_structure_rejected():
     assert not validate_sync_set(pt, 1, bad).ok
 
 
-def test_fast_equals_deterministic(rng):
+def test_det_matches_oracle(rng):
     checked = 0
     while checked < 30:
         n = rng.randrange(20, 300)
         sigma = rng.choice([2, 4])
-        pt = pack(random_text(rng, n, sigma), sigma)
+        seq = random_text(rng, n, sigma)
         tau = rng.randrange(1, 9)
-        if 2 * tau > n or not packed_fast_applicable(pt, tau):
+        if 2 * tau > n:
             continue
         checked += 1
-        a = construct_deterministic(pt, tau)
-        b = construct_packed_fast(pt, tau)
-        assert list(a.positions) == list(b.positions)
+        got = construct_deterministic(pack(seq, sigma), tau)
+        assert got.positions.tolist() == naive_det_positions(seq, tau)
+    # past the byte key capacity the classes come from suffix order
+    for kind in (random_text, periodic_mosaic):
+        for _ in range(3):
+            seq = kind(rng, rng.randrange(60, 300), 256)
+            tau = rng.randrange(17, len(seq) // 2 + 1)
+            got = construct_deterministic(pack(seq, 256), tau)
+            assert got.positions.tolist() == naive_det_positions(seq, tau)
 
 
 def test_construct_dispatch(rng):
@@ -285,7 +291,8 @@ FROZEN = "65cdc2bda2276077dc8871161828d236392d68f87a78e913dc40667d87d53835"
 
 def _frozen_cases():
     """About sixty seeded (text, sigma, tau) cases: random, periodic and
-    repeat texts over four alphabets, plus sizes where block replay runs."""
+    repeat texts over four alphabets, plus twelve texts with
+    sigma**(5tau) <= n."""
     rng = random.Random(1904)
     for sigma in (2, 3, 4, 16):
         for kind in ("random", "mosaic", "repeats"):
@@ -308,16 +315,18 @@ def _frozen_cases():
 
 
 def test_frozen_positions():
-    # pins the exact sets of both det paths and two random seeds; a
-    # change here is a change of output, not only of speed
+    # pins the exact det sets and two random seeds; a change here is a
+    # change of output, not only of speed.  The det set is hashed twice
+    # where sigma**(5tau) <= n, as when two det paths were hashed there.
     h = hashlib.sha256()
     cases = applicable = 0
     for seq, sigma, tau in _frozen_cases():
         pt = pack(seq, sigma)
         sets = [construct_deterministic(pt, tau)]
-        if packed_fast_applicable(pt, tau):
+        if (4 * tau * sigma.bit_length() <= 62
+                and sigma ** (5 * tau) <= len(seq)):
             applicable += 1
-            sets.append(construct_packed_fast(pt, tau))
+            sets.append(construct_deterministic(pt, tau))
         sets += [construct_randomized(pt, tau, seed=seed) for seed in (0, 7)]
         for s in sets:
             h.update(np.asarray(s.positions, dtype=np.int64).tobytes())

@@ -19,6 +19,7 @@ ABSENT = {
     "bwt_builder.LceIndex",
     "bwt_builder.correct_periodic",
     "suffix_core._kasai",
+    "sync_set.construct_packed_fast",
     "lce_index.construct_packed_fast",
     "inversions.count_freq",
 }

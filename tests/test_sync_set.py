@@ -316,8 +316,9 @@ def _frozen_cases():
 
 def test_frozen_positions():
     # pins the exact det sets and two random seeds; a change here is a
-    # change of output, not only of speed.  The det set is hashed twice
-    # where sigma**(5tau) <= n, as when two det paths were hashed there.
+    # change of output, not only of speed.  Hashing the det set twice
+    # where sigma**(5tau) <= n keeps the digest recorded when a second
+    # det path ran there.
     h = hashlib.sha256()
     cases = applicable = 0
     for seq, sigma, tau in _frozen_cases():

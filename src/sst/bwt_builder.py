@@ -107,7 +107,7 @@ def _emit_blocks(pt, tau, s, order):
 
 def _naive_result(pt, tau, reason="naive-fallback"):
     sym = np.asarray(pt.symbols, dtype=np.int64)
-    idx = SuffixArrayIndex(sym)
+    idx = SuffixArrayIndex(sym, with_lcp=False)
     sa = idx.sa
     bwt = sym[sa - 2]
     primary = int(np.nonzero(sa == 1)[0][0]) + 1
@@ -135,7 +135,8 @@ def build_bwt(pt, tau=None, force_naive=False):
     if force_naive or n < 3 * tau - 1 or 3 * tau * pt.bits_per_symbol > 62:
         return _naive_result(pt, tau)
     s = construct(pt, tau, mode="random", seed=0)
-    bwt, primary = _emit_blocks(pt, tau, s, sort_sync_suffixes(pt, s))
+    bwt, primary = _emit_blocks(pt, tau, s,
+                                sort_sync_suffixes(pt, s, with_lcp=False))
     meta = {"n": n, "sigma": pt.sigma, "tau": tau,
             "primary_index": primary, "sync_size": len(s),
             "pipeline": "sync"}

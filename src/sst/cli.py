@@ -16,7 +16,7 @@ import numpy as np
 from . import reference_oracles as oracles
 from .bwt_builder import build_bwt, invert_bwt, read_bwt, write_bwt
 from .inversions import count_inversions_via_bwt
-from .lce_index import LceIndex
+from .lce_index import LceIndex, default_tau
 from .packed_text import pack
 from .sync_set import (compute_q_and_b, construct, load_sync_set,
                        save_sync_set, validate_sync_set)
@@ -110,7 +110,7 @@ def cmd_sync(args):
         else:
             print("structure violation: %s" % report.message)
         return 1
-    tau = args.tau if args.tau else max(1, pt.n // 64)
+    tau = args.tau if args.tau else default_tau(pt.n, pt.sigma)
     if not 1 <= tau <= pt.n // 2:
         raise CliError("tau must satisfy 1 <= tau <= n/2 (n=%d)" % pt.n)
     if args.action == "build":
@@ -249,13 +249,14 @@ def _bench_text(n, seed):
 
 
 def _time_call(fn, repeat):
+    """Best time over repeat calls, and the last call's result."""
     best = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn()
+        out = fn()
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
-    return best
+    return best, out
 
 
 def cmd_bench(args):
@@ -263,40 +264,49 @@ def cmd_bench(args):
     rows = []
     for n in sizes:
         pt = _bench_text(n, args.seed)
-        tau = max(1, min(8, n // 2))
+        tau = default_tau(n, pt.sigma)
+        # (name, call, size of the synchronizing set the call built)
         tasks = [
             ("sync_construct_det",
-             lambda pt=pt, tau=tau: construct(pt, tau, mode="det")),
+             lambda pt=pt, tau=tau: construct(pt, tau, mode="det"), len),
             ("sync_construct_random",
-             lambda pt=pt, tau=tau: construct(pt, tau, mode="random")),
-            ("lce_build", lambda pt=pt: LceIndex(pt)),
-            ("build_bwt_sync", lambda pt=pt: build_bwt(pt)),
+             lambda pt=pt, tau=tau: construct(pt, tau, mode="random"), len),
+            ("lce_build", lambda pt=pt, tau=tau: LceIndex(pt, tau),
+             lambda idx: len(idx.sync)),
+            ("build_bwt_sync", lambda pt=pt, tau=tau: build_bwt(pt, tau),
+             lambda res: res.meta["sync_size"]),
             ("build_bwt_naive",
-             lambda pt=pt: build_bwt(pt, force_naive=True)),
+             lambda pt=pt, tau=tau: build_bwt(pt, tau, force_naive=True),
+             None),
         ]
         # the same seeded pairs through the batch and the scalar path
-        idx = LceIndex(pt)
+        idx = LceIndex(pt, tau)
         qi, qj = np.random.default_rng([args.seed, n]).integers(
             1, n + 1, size=(2, BENCH_QUERY_PAIRS))
         pairs = list(zip(qi.tolist(), qj.tolist()))
         tasks += [
             ("lce_query_scalar",
-             lambda idx=idx, pairs=pairs: [idx.query(i, j) for i, j in pairs]),
+             lambda idx=idx, pairs=pairs: [idx.query(i, j) for i, j in pairs],
+             None),
             ("lce_query_many",
-             lambda idx=idx, qi=qi, qj=qj: idx.query_many(qi, qj)),
+             lambda idx=idx, qi=qi, qj=qj: idx.query_many(qi, qj), None),
         ]
         timed = {}
-        for name, fn in tasks:
-            timed[name] = _time_call(fn, args.repeat)
-            rows.append({"n": n, "task": name, "seconds": timed[name]})
+        for name, fn, size_of in tasks:
+            timed[name], out = _time_call(fn, args.repeat)
+            row = {"n": n, "task": name, "seconds": timed[name], "tau": tau}
+            if size_of is not None:
+                row["sync_size"] = int(size_of(out))
+            rows.append(row)
         ratio = timed["build_bwt_naive"] / max(timed["build_bwt_sync"], 1e-9)
         rows.append({"n": n, "task": "naive_over_sync_ratio",
-                     "seconds": ratio})
+                     "seconds": ratio, "tau": tau})
     if args.json:
         print(json.dumps(rows))
         return 0
     for row in rows:
-        print("%-12d %-24s %10.4f" % (row["n"], row["task"], row["seconds"]))
+        print("%-12d %-24s %10.4f  tau=%d" % (row["n"], row["task"],
+                                              row["seconds"], row["tau"]))
     for row in rows:
         if row["task"] == "naive_over_sync_ratio" and row["seconds"] < 1.5:
             print("note: sync speedup below 1.5x at n=%d (ratio %.2f)"

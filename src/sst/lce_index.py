@@ -11,7 +11,7 @@ comparison.  Highly periodic stretches never contain synchronizing
 positions; the successor offsets alone determine the answer there.
 """
 
-import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,14 +24,44 @@ from .sync_sort import sort_sync_suffixes
 QUERY_BLOCK = 1 << 13
 
 
+# |S| * tau / n of the random construction, measured at 1.8-1.9 on
+# random and mosaic texts; default_tau sizes the emission key's
+# successor-rank field with it
+SYNC_DENSITY = Fraction(19, 10)
+
+
 def default_tau(n, sigma):
-    """Window parameter from the packing density, an eighth of the
-    symbols that fit in a machine word, at least 1 and at most n // 2."""
+    """Window parameter from the word budget: the largest tau <= n // 2
+    (at least 1) that meets two bounds.
+
+    - 3tau * bits <= 62, so a 3tau-symbol window packs into one int64
+      key and the synchronizing-set pipeline applies;
+    - the emission sort key of build_bwt fits one int64 column:
+      (3tau-1) * bits + bit_length(3tau-1)
+      + bit_length(ceil(SYNC_DENSITY * n / tau)) <= 62, the window, its
+      length and the successor rank among about SYNC_DENSITY * n / tau
+      members.  Past it the emission sort becomes a lexsort of two
+      columns, several times slower.
+
+    The paper's tau = Theta(log_sigma n) sets the same scale.  An
+    explicit tau passed to build_bwt or LceIndex overrides the rule.
+
+    >>> default_tau(1 << 20, 2), default_tau(1 << 14, 4), default_tau(6, 2)
+    (13, 7, 3)
+    """
     bits = max(1, int(sigma - 1).bit_length())
-    if n < 2:
-        return 1
-    guess = max(1, int(math.log2(n) / (8 * bits)))
-    return max(1, min(guess, n // 2))
+    num, den = SYNC_DENSITY.as_integer_ratio()
+
+    def fits(tau):
+        cap = 3 * tau - 1
+        members = -(-num * n // (den * tau))
+        return (3 * tau * bits <= 62 and cap * bits + cap.bit_length()
+                + members.bit_length() <= 62)
+
+    tau = 1
+    while tau < n // 2 and fits(tau + 1):
+        tau += 1
+    return tau
 
 
 class LceIndex:

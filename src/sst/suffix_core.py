@@ -6,12 +6,14 @@ first, which the doubling comparison realizes by ranking absent symbols
 below every real rank.
 
 Prefix doubling (Manber and Myers, SIAM J. Comput. 1993) ranks the
-2^k-symbol prefixes of all suffixes in round k.  The index keeps those
-rank arrays until the LCP array is built from them by binary lifting:
-two distinct starts with equal round-k ranks begin with equal, complete
-2^k-symbol blocks, so the common prefix of two suffixes is the sum of
-the block lengths that match, tried from the longest down.  The ranks
-are dropped once the LCP array exists.
+2^k-symbol prefixes of all suffixes in round k.  An index built with
+LCP support keeps those rank arrays until the LCP array is built from
+them by binary lifting: two distinct starts with equal round-k ranks
+begin with equal, complete 2^k-symbol blocks, so the common prefix of
+two suffixes is the sum of the block lengths that match, tried from the
+longest down.  The ranks are dropped once the LCP array exists.  An
+index built without LCP support keeps no ranks, and its LCP queries
+raise.
 """
 
 import numpy as np
@@ -20,18 +22,20 @@ from .packed_text import dense_ranks, pack_columns
 
 
 class SuffixArrayIndex:
-    """Suffix array and inverse; the LCP array and its sparse-table
-    minimum are built on first use, or at once by prepare_lce."""
+    """Suffix array and inverse.  With LCP support (with_lcp) the LCP
+    array and its sparse-table minimum are built on first use, or at
+    once by prepare_lce."""
 
     __slots__ = ("n", "sa", "isa", "_ranks", "_lcp", "_rmq")
 
-    def __init__(self, seq):
+    def __init__(self, seq, with_lcp=True):
         if isinstance(seq, str):
             seq = [ord(c) for c in seq]
         arr = np.asarray(seq, dtype=np.int64)
         n = arr.size
         self.n = n
-        self._ranks = []
+        # None: built without LCP support
+        self._ranks = [] if with_lcp else None
         self._lcp = None
         self._rmq = None
         if n == 0:
@@ -43,11 +47,12 @@ class SuffixArrayIndex:
         rank = dense_ranks([arr])
         k = 1
         while int(rank.max()) < n - 1:
-            # -1 at index n stands for a block that runs past the end
-            kept = np.empty(n + 1, dtype=narrow)
-            kept[:n] = rank
-            kept[n] = -1
-            self._ranks.append(kept)
+            if with_lcp:
+                # -1 at index n stands for a block that runs past the end
+                kept = np.empty(n + 1, dtype=narrow)
+                kept[:n] = rank
+                kept[n] = -1
+                self._ranks.append(kept)
             nxt = np.zeros(n, dtype=np.int64)
             nxt[:n - k] = rank[k:] + 1
             rank = dense_ranks(pack_columns([(rank, n), (nxt, n + 1)], n))
@@ -61,6 +66,8 @@ class SuffixArrayIndex:
     def lcp(self):
         """lcp[r]: common prefix of the suffixes of ranks r+1 and r+2."""
         if self._lcp is None:
+            if self._ranks is None:
+                raise ValueError("suffix array built without LCP support")
             self._lcp = _lcp_by_lifting(self._ranks, self.sa - 1)
             self._ranks = None
         return self._lcp
@@ -151,11 +158,12 @@ def _range_min_many(table, a, b):
     return out
 
 
-def build_suffix_array(seq):
-    """Index a sequence (or string) for suffix-order and LCE queries.
+def build_suffix_array(seq, with_lcp=True):
+    """Index a sequence (or string) for suffix-order queries, and for
+    LCE queries unless with_lcp is False.
 
     >>> build_suffix_array("banana").sa.tolist()
     [6, 4, 2, 1, 5, 3]
     """
-    return SuffixArrayIndex(seq)
+    return SuffixArrayIndex(seq, with_lcp)
 

@@ -112,7 +112,8 @@ class SortedSyncOrder:
         return len(self.tprime)
 
 
-def sort_sync_suffixes(pt, s):
-    """Sort the text suffixes starting at synchronizing positions."""
+def sort_sync_suffixes(pt, s, with_lcp=True):
+    """Sort the text suffixes starting at synchronizing positions; the
+    reduced string's index answers LCE queries unless with_lcp is False."""
     tp = build_tprime(pt, s)
-    return SortedSyncOrder(tp, build_suffix_array(tp.symbols))
+    return SortedSyncOrder(tp, build_suffix_array(tp.symbols, with_lcp))

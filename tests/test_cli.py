@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sst.cli import main
-from sst.lce_index import LceIndex
+from sst.lce_index import LceIndex, default_tau
 from sst.packed_text import pack
 from sst.sync_set import save_sync_set
 
@@ -110,18 +110,23 @@ def test_sync_build_validate_stats(tmp_path, capsys):
 
 
 def test_sync_default_tau_past_key_capacity(tmp_path, capsys):
-    # the default tau = n // 64 = 64 exceeds the byte key capacity of 16,
-    # so the det classes come from suffix order
+    # tau = 64 exceeds the byte key capacity of 16, so the det classes
+    # come from suffix order; without --tau the set takes default_tau
+    text = np.random.default_rng(4096).integers(
+        0, 256, size=4096, dtype=np.uint8)
     src = tmp_path / "t.txt"
-    src.write_bytes(np.random.default_rng(4096).integers(
-        0, 256, size=4096, dtype=np.uint8).tobytes())
+    src.write_bytes(text.tobytes())
     sset = tmp_path / "s.txt"
-    assert _run(capsys, "sync", "build", "--input", str(src),
+    assert _run(capsys, "sync", "build", "--input", str(src), "--tau", "64",
                 "--output", str(sset))[0] == 0
     assert sset.read_text().splitlines()[0] == "# tau=64 n=4096"
     status, out, _ = _run(capsys, "sync", "validate", "--input", str(src),
                           "--set", str(sset))
     assert status == 0 and out.strip() == "valid"
+    assert _run(capsys, "sync", "build", "--input", str(src),
+                "--output", str(sset))[0] == 0
+    assert sset.read_text().splitlines()[0] == "# tau=%d n=4096" % \
+        default_tau(4096, int(text.max()) + 1)
 
 
 def test_sync_mode_fast_is_rejected(tmp_path):
@@ -329,6 +334,12 @@ def test_bench_json(tmp_path, capsys):
             "lce_query_scalar", "lce_query_many",
             "naive_over_sync_ratio"} <= tasks
     assert all(r["n"] == 4096 for r in rows)
+    assert all(r["tau"] == default_tau(4096, 2) for r in rows)
+    sizes = {r["task"]: r.get("sync_size") for r in rows}
+    assert sizes["sync_construct_random"] == sizes["lce_build"] \
+        == sizes["build_bwt_sync"] > 0
+    assert sizes["sync_construct_det"] > 0
+    assert sizes["build_bwt_naive"] is None
 
 
 def test_determinism(tmp_path, capsys):

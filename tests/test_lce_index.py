@@ -1,13 +1,17 @@
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sst.bwt_builder import build_bwt
 from sst.lce_index import LceIndex, default_tau
 from sst.packed_text import pack
 from sst.reference_oracles import naive_lce
+from sst.sync_set import construct
 
 from conftest import (all_binary_texts, fibonacci_word, full_profile,
                       periodic_mosaic, random_text)
@@ -92,11 +96,46 @@ def test_out_of_range_rejected(rng):
         idx.query(1, 5)
 
 
-def test_default_tau_monotone_caps():
+def _emission_bits(tau, n, bits):
+    cap = 3 * tau - 1
+    return (cap * bits + cap.bit_length()
+            + math.ceil(Fraction(19, 10) * n / tau).bit_length())
+
+
+def test_default_tau_caps():
     assert default_tau(1, 2) == 1
     for n in (10, 1000, 10 ** 6):
         t = default_tau(n, 2)
         assert 1 <= t <= n // 2 or n < 2
+
+
+def test_default_tau_is_largest_within_both_bounds():
+    lengths = set(range(2, 300))
+    for k in range(9, 31):
+        lengths |= {(1 << k) - 1, 1 << k, (1 << k) + 1, 3 << (k - 2)}
+    for sigma in (2, 3, 4, 16, 255, 256):
+        bits = (sigma - 1).bit_length()
+
+        def ok(tau, n):
+            return (tau <= n // 2 and 3 * tau * bits <= 62
+                    and _emission_bits(tau, n, bits) <= 62)
+
+        for n in sorted(lengths):
+            tau = default_tau(n, sigma)
+            assert ok(tau, n) and not ok(tau + 1, n), (sigma, n, tau)
+
+
+@pytest.mark.parametrize("sigma", [2, 4, 16])
+def test_default_tau_emission_key_takes_one_column(sigma):
+    gen = random.Random(sigma)
+    n = 1 << 16
+    tau = default_tau(n, sigma)
+    for seq in (random_text(gen, n, sigma), periodic_mosaic(gen, n, sigma)):
+        pt = pack(seq, sigma)
+        size = len(construct(pt, tau, "random", 0))
+        assert sigma ** (3 * tau - 1) * 3 * tau * (size + 1) <= 1 << 62, \
+            (sigma, tau, size)
+        assert build_bwt(pt).meta["tau"] == tau
 
 
 def test_module_level_helpers(rng):

@@ -105,3 +105,16 @@ def test_lce_out_of_range():
         idx.lce(0, 1)
     with pytest.raises(IndexError):
         idx.lce(1, 3)
+
+
+def test_without_lcp_keeps_no_ranks_and_refuses_lcp(rng):
+    seq = random_text(rng, 300, 2)
+    full = SuffixArrayIndex(seq)
+    bare = build_suffix_array(seq, with_lcp=False)
+    assert bare.sa.tolist() == full.sa.tolist()
+    assert bare.isa.tolist() == full.isa.tolist()
+    assert bare._ranks is None and len(full._ranks) > 0
+    for call in (lambda: bare.lcp, lambda: bare.lce(1, 2),
+                 lambda: bare.lce_many([1], [2]), bare.prepare_lce):
+        with pytest.raises(ValueError, match="without LCP support"):
+            call()

@@ -46,22 +46,27 @@ class BwtResult:
         return len(self.bwt)
 
 
-def _sort_keys(pt, tau, s, order):
+def _sort_keys(pt, tau, s, rank):
     """Per-position sort keys: window, window length, successor rank.
 
     The window is T[i..i+3tau-1) cut at the text end, as a base-sigma key
     zero-padded to 3tau-1 digits.  The rank is that of succ(i) among the
     sorted synchronizing suffixes when succ(i) lies less than tau ahead,
-    and 0 otherwise.
+    and 0 otherwise; rank holds the members' ranks and a trailing 0.
     """
     n = pt.n
     cap = 3 * tau - 1
     key = window_keys(pt, cap, n)[0]
     pos = np.arange(1, n + 1, dtype=np.int64)
-    k = np.searchsorted(s.positions, pos)
+    # k[i - 1] indexes succ(i) among the members, len(s) past the last
+    k = np.full(n, len(s), dtype=np.int64)
+    k[s.positions - 1] = np.arange(len(s))
+    k = np.minimum.accumulate(k[::-1])[::-1]
     # past the last member the successor reads as n + tau, never near
-    near = np.append(s.positions, n + tau)[k] - pos < tau
-    tie = np.where(near, np.append(order.suffix_index.isa, 0)[k], 0)
+    succ = np.empty(len(s) + 1, dtype=np.int64)
+    succ[:-1] = s.positions
+    succ[-1] = n + tau
+    tie = np.where(succ[k] - pos < tau, rank[k], 0)
     return key, np.minimum(cap, n + 1 - pos), tie
 
 
@@ -72,7 +77,9 @@ def _emit_blocks(pt, tau, s, order):
     """
     n = pt.n
     cap = 3 * tau - 1
-    key, length, tie = _sort_keys(pt, tau, s, order)
+    rank = np.zeros(len(s) + 1, dtype=np.int64)
+    rank[:-1] = order.suffix_index.isa
+    key, length, tie = _sort_keys(pt, tau, s, rank)
     # rows tie only inside periodic blocks, which are re-sorted below,
     # so the sort need not be stable
     sa = sort_rows(pack_columns(
@@ -96,7 +103,7 @@ def _emit_blocks(pt, tau, s, order):
         up = typ[r] > 0
         # ascending L for type -1, descending for +1; past the last
         # member b is the sentinel, which only the text-end run reaches
-        brank = np.append(order.suffix_index.isa, 0)[prev[r] + 1]
+        brank = rank[prev[r] + 1]
         sa[slots] = rows[sort_rows(pack_columns(
             [(seg, int(seg[-1]) + 1), (up, 2),
              (np.where(up, n - dist, dist), n + 1), (brank, len(s) + 1)],

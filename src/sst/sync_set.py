@@ -5,14 +5,17 @@ that membership of i depends only on T[i..i+2tau) (consistency), and a
 length-tau window [i..i+tau) misses S exactly when the surrounding
 fragment T[i..i+3tau-2] has period at most tau/3 (density).
 
-All constructions here follow the same recipe: partition window start
-positions by their length-tau substring, assign an integer id to each
-class, then insert i whenever the smallest id over [i..i+tau] outside
-the highly periodic region Q is attained at i or i+tau.  What differs is
-the id assignment: uniformly random (subject to boundary classes coming
-first), or deterministic via a scoring game.  The game's scores follow
-one rule (_scores); construct_deterministic computes them once and then,
-per picked class, rescores only the starts near the class's starts.
+All constructions here follow the same recipe: give every window start
+an integer id that depends only on its length-tau substring, then insert
+i whenever the smallest id over [i..i+tau] outside the highly periodic
+region Q is attained at i or i+tau.  What differs is the id assignment.
+The random one maps each window's key through a seeded bijection, so
+distinct windows keep distinct ids without ranking them, and puts the
+boundary windows B first by a flag bit above the key.  The deterministic
+one ranks the windows into classes and plays a scoring game over them.
+The game's scores follow one rule (_scores); construct_deterministic
+computes them once and then, per picked class, rescores only the starts
+near the class's starts.
 """
 
 import heapq
@@ -149,20 +152,35 @@ class SyncSet:
         return self._rank
 
 
+def _window_min(a, width):
+    """Minimum of every `width` consecutive values of a, by doubling:
+    floor(log2 width) passes of np.minimum, then one overlapping pair."""
+    m, span = a, 1
+    while 2 * span <= width:
+        # m[i] becomes the minimum of a[i..i+2*span); the first pass
+        # copies a, the later ones overwrite that copy
+        m = np.minimum(m[:-span], m[span:],
+                       out=None if span == 1 else m[:-span])
+        span *= 2
+    return np.minimum(m[:len(a) - width + 1], m[width - span:])
+
+
+# the masked value of Q starts, above every id
+_ABOVE_IDS = np.iinfo(np.int64).max
+
+
 def construct_from_ids(pt, tau, ids, q):
     """Evaluate the window-minimum rule for one id per window start;
-    the minimum skips the starts of the Q mask q."""
+    the minimum skips the starts of the Q mask q.  Ids lie in
+    [0, 2**63 - 1)."""
     n = pt.n
     ids = np.asarray(ids, dtype=np.int64)
-    if np.any(ids < 0):
+    if len(ids) and (ids.min() < 0 or ids.max() >= _ABOVE_IDS):
         raise ValueError("identifier assignment is incomplete")
     nmem = n - 2 * tau + 1
     if nmem <= 0:
         return SyncSet(tau, n, np.zeros(0, dtype=np.int64))
-    big = np.int64(2 * n + 2)
-    masked = np.where(q, big, ids)
-    wmin = np.lib.stride_tricks.sliding_window_view(
-        masked, tau + 1).min(axis=1)
+    wmin = _window_min(np.where(q, _ABOVE_IDS, ids), tau + 1)
     member = (wmin == ids[:nmem]) | (wmin == ids[tau:tau + nmem])
     return SyncSet(tau, n, np.flatnonzero(member).astype(np.int64) + 1)
 
@@ -179,18 +197,54 @@ def _class_flags(class_of, psets):
     return in_b, in_q
 
 
-def construct_randomized(pt, tau, seed=0):
-    """Random ids, boundary classes drawing the smallest ones."""
-    psets = compute_q_and_b(pt, tau)
-    class_of = build_partition(pt, tau)
-    in_b, _ = _class_flags(class_of, psets)
+def _bijection_rounds(w, seed):
+    """Seeded (constant, odd multiplier, shift) triples of _bijection."""
     rng = np.random.default_rng(seed)
-    bcls = np.flatnonzero(in_b)
-    rest = np.flatnonzero(~in_b)
-    ids = np.empty(len(in_b), dtype=np.int64)
-    ids[rng.permutation(bcls)] = np.arange(len(bcls))
-    ids[rng.permutation(rest)] = len(bcls) + np.arange(len(rest))
-    return construct_from_ids(pt, tau, ids[class_of], psets.q)
+    rounds = []
+    for _ in range(3):
+        c, a = rng.integers(0, 1 << w, size=2, dtype=np.uint64)
+        shift = rng.integers(max(1, w // 3), max(1, 2 * w // 3) + 1)
+        rounds.append((c, a | np.uint64(1), np.uint64(shift)))
+    return rounds
+
+
+def _bijection(keys, w, seed):
+    """keys in [0, 2**w) mapped through a seeded bijection of [0, 2**w).
+
+    Each of three rounds xors a constant, multiplies by an odd number
+    mod 2**w and xors in the value shifted right.  Every step inverts
+    mod 2**w, so distinct keys get distinct values.
+    """
+    mask = np.uint64((1 << w) - 1)
+    x = keys.astype(np.uint64)
+    for c, a, shift in _bijection_rounds(w, seed):
+        x ^= c
+        x *= a
+        x &= mask
+        x ^= x >> shift
+    return x.view(np.int64)
+
+
+def construct_randomized(pt, tau, seed=0):
+    """Random ids, boundary windows drawing the smallest ones.
+
+    A window's id is its key under a seeded bijection of [0, 2**w), plus
+    2**w outside B.  The key is the window's base-sigma key, w = tau*bits,
+    while that fits a word with the flag above it; past that it is the
+    dense rank of the window from build_partition, w its bit length.
+    """
+    if not 1 <= tau <= pt.n:
+        raise ValueError("tau out of range")
+    psets = compute_q_and_b(pt, tau)
+    nwin = len(psets.b)
+    if tau * pt.bits_per_symbol <= 61:
+        key, w = window_keys(pt, tau, nwin)[0], tau * pt.bits_per_symbol
+    else:
+        key = build_partition(pt, tau)
+        w = max(1, int(key.max()).bit_length())
+    ids = _bijection(key, w, seed)
+    np.add(ids, 1 << w, out=ids, where=~psets.b)
+    return construct_from_ids(pt, tau, ids, psets.q)
 
 
 def _scores(defined, tau):

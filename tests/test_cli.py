@@ -129,6 +129,24 @@ def test_sync_default_tau_past_key_capacity(tmp_path, capsys):
         default_tau(4096, int(text.max()) + 1)
 
 
+def test_sync_random_past_one_key_column(tmp_path, capsys):
+    # at tau = 64 a byte window is 512 bits, so the random ids come from
+    # the dense rank of the window instead of its key
+    text = np.random.default_rng(64).integers(0, 256, size=4096,
+                                              dtype=np.uint8)
+    text[1000:2000] = np.resize(text[:3], 1000)
+    src = tmp_path / "t.txt"
+    src.write_bytes(text.tobytes())
+    sset = tmp_path / "s.txt"
+    for seed in ("0", "7"):
+        assert _run(capsys, "sync", "build", "--input", str(src), "--tau",
+                    "64", "--mode", "random", "--seed", seed,
+                    "--output", str(sset))[0] == 0
+        status, out, _ = _run(capsys, "sync", "validate", "--input",
+                              str(src), "--set", str(sset))
+        assert status == 0 and out.strip() == "valid"
+
+
 def test_sync_mode_fast_is_rejected(tmp_path):
     src = tmp_path / "t.txt"
     src.write_bytes(bytes(range(1, 25)) * 4)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from sst.packed_text import pack
-from sst.sync_set import (SyncSet, _scores, build_partition,
-                          compute_q_and_b, construct, construct_deterministic,
-                          construct_randomized, load_sync_set,
-                          save_sync_set, validate_sync_set)
+from sst.sync_set import (SyncSet, _bijection, _bijection_rounds, _scores,
+                          _window_min, build_partition, compute_q_and_b,
+                          construct, construct_deterministic,
+                          construct_from_ids, construct_randomized,
+                          load_sync_set, save_sync_set, validate_sync_set)
 from sst.reference_oracles import (naive_b_positions, naive_det_positions,
                                    naive_q_positions)
 
@@ -250,6 +251,98 @@ def test_construct_dispatch(rng):
         construct(pt, 3, mode="bogus")
 
 
+def test_window_min_matches_sliding_window():
+    gen = np.random.default_rng(70)
+    top = np.iinfo(np.int64).max
+    for length in (70, 131):
+        a = gen.integers(0, top, size=length, dtype=np.int64, endpoint=True)
+        a[gen.integers(0, length, size=5)] = top
+        for width in range(1, min(70, length) + 1):
+            want = np.lib.stride_tricks.sliding_window_view(a, width).min(1)
+            assert np.array_equal(_window_min(a, width), want), width
+    a = np.full(70, top, dtype=np.int64)
+    a[33] = top - 1
+    assert _window_min(a, 70).tolist() == [top - 1]
+
+
+def _unmix(values, w, seed):
+    """Inverse of _bijection, one python int at a time."""
+    mod = 1 << w
+    out = []
+    for x in values:
+        for c, a, shift in reversed(_bijection_rounds(w, seed)):
+            y = x
+            for _ in range(w):   # each pass fixes the next shift bits of y
+                y = x ^ (y >> int(shift))
+            x = ((y * pow(int(a), -1, mod)) % mod) ^ int(c)
+        out.append(x)
+    return out
+
+
+def test_bijection_permutes_the_key_range():
+    for w in range(1, 17):
+        for seed in (0, 7):
+            got = _bijection(np.arange(1 << w, dtype=np.int64), w, seed)
+            assert np.array_equal(np.sort(got), np.arange(1 << w)), w
+    gen = np.random.default_rng(61)
+    for w in (17, 20, 31, 40, 52, 61):
+        keys = np.concatenate([
+            [0, 1, (1 << w) - 1],
+            gen.integers(0, 1 << w, size=200, dtype=np.int64)])
+        got = _bijection(keys, w, 3)
+        assert got.min() >= 0 and got.max() < 1 << w
+        assert _unmix(got.tolist(), w, 3) == keys.tolist(), w
+
+
+def _texts(rng, n, sigma):
+    base = random_text(rng, 20, sigma)
+    repeats = (base * (n // 20 + 1))[:n]
+    for _ in range(3):
+        repeats[rng.randrange(n)] = rng.randrange(sigma)
+    return {"random": random_text(rng, n, sigma),
+            "mosaic": periodic_mosaic(rng, n, sigma),
+            "repeats": repeats, "unary": [sigma - 1] * n}
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 4, 16, 255, 256])
+def test_random_sets_valid_up_to_the_word_limit(rng, sigma):
+    # tau*bits <= 61 ids the window key; one past it ids the dense rank
+    bits = max(1, (sigma - 1).bit_length())
+    n = 2 * (61 // bits + 1) + 40
+    taus = {1, 2, 3, 62 // (3 * bits), 61 // bits, 61 // bits + 1}
+    for kind, seq in _texts(rng, n, sigma).items():
+        pt = pack(seq, sigma)
+        for tau in sorted(taus):
+            s = construct_randomized(pt, tau, seed=rng.randrange(100))
+            assert validate_sync_set(pt, tau, s).ok, (kind, tau)
+
+
+def test_random_sets_depend_on_the_seed(rng):
+    pt = pack(random_text(rng, 400, 4), 4)
+    assert any(not np.array_equal(construct_randomized(pt, tau, 0).positions,
+                                  construct_randomized(pt, tau, 7).positions)
+               for tau in (3, 5, 8))
+
+
+def test_ids_above_twice_n_with_q():
+    # Q starts are masked above every id, so ids need not stay below 2n
+    rng = random.Random(8)
+    seq = ([0, 1] * 40 + random_text(rng, 40, 3)) * 3
+    pt = pack(seq, 3)
+    tau = 6
+    psets = compute_q_and_b(pt, tau)
+    assert psets.q.any()
+    cls = build_partition(pt, tau)
+    ids = 2 * pt.n + 2 + np.where(psets.b, cls, cls + int(cls.max()) + 1)
+    s = construct_from_ids(pt, tau, ids, psets.q)
+    assert validate_sync_set(pt, tau, s).ok
+    s = construct_from_ids(pt, tau, ids * (1 << 40), psets.q)
+    assert validate_sync_set(pt, tau, s).ok
+    with pytest.raises(ValueError):
+        construct_from_ids(pt, tau, np.full(len(ids), np.iinfo(np.int64).max),
+                           psets.q)
+
+
 def test_succ_and_sentinel(rng):
     # the successor lookup of LceIndex.query: the member of rank
     # rank1(i - 1), or the sentinel past the last member
@@ -289,7 +382,7 @@ def test_load_rejects_bad_header(tmp_path):
 # the id assignment does, and only then
 FROZEN = {
     "det": "a9f74a4ca7b52a1cf26009f476d295d9b687c0c612e2a6ff61f19e4929d1a5b0",
-    "random": "e5a2601bb8c53511f16cccb53322f2bf2844a6a0c94b31f04d8c1b5a008d32c4",
+    "random": "871c53e00088b69083e52ef462e02e84a5ef733750c316c8e2aeb4d29488dd03",
 }
 
 

@@ -22,24 +22,22 @@ from .sync_set import (compute_q_and_b, construct, load_sync_set,
                        save_sync_set, validate_sync_set)
 
 
-class CliError(Exception):
-    """Raised for input problems; carries the process exit status."""
-
-    def __init__(self, message, status=2):
-        super().__init__(message)
-        self.status = status
+class CliError(ValueError):
+    """An input problem; main reports it, like any ValueError, with exit
+    status 2."""
 
 
-def _read_bytes(path):
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliError(str(exc), status=1)
+def _read_text(path):
+    """The ASCII text of a file, or of stdin for "-"."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, "r", encoding="ascii") as fh:
+        return fh.read()
 
 
 def _packed_from_file(path, sigma=None):
-    data = _read_bytes(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
     if not data:
         raise CliError("%s: empty input text" % path)
     if sigma is None:
@@ -58,8 +56,7 @@ def cmd_bwt(args):
     pt = _packed_from_file(args.input, args.sigma)
     res = build_bwt(pt, tau=args.tau, force_naive=args.naive)
     if args.verify:
-        want_bwt, want_primary = oracles.naive_bwt(
-            [pt.char_at(i) for i in range(1, pt.n + 1)])
+        want_bwt, want_primary = oracles.naive_bwt(pt.to_list())
         if (list(res.bwt) != list(want_bwt)
                 or res.primary_index != want_primary):
             print("verification failed: transform disagrees with the "
@@ -70,10 +67,7 @@ def cmd_bwt(args):
 
 
 def cmd_unbwt(args):
-    try:
-        res = read_bwt(args.input, args.meta)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc), status=1 if isinstance(exc, OSError) else 2)
+    res = read_bwt(args.input, args.meta)
     text = np.asarray(invert_bwt(res), dtype=np.int64)
     if text.size and text.max() > 255:
         raise CliError("decoded symbols exceed the byte range")
@@ -87,11 +81,7 @@ def cmd_sync(args):
     if args.action == "validate":
         if not args.set:
             raise CliError("validate requires --set")
-        try:
-            s = load_sync_set(args.set)
-        except (OSError, ValueError) as exc:
-            raise CliError(str(exc),
-                           status=1 if isinstance(exc, OSError) else 2)
+        s = load_sync_set(args.set)
         tau = args.tau if args.tau else s.tau
         if s.n != pt.n or s.tau != tau:
             print("structure violation: set header (tau=%d n=%d) does not "
@@ -184,14 +174,7 @@ def _parse_queries(text, n):
 def cmd_lce(args):
     pt = _packed_from_file(args.input, args.sigma)
     idx = LceIndex(pt, tau=args.tau)
-    if args.queries == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.queries, "r", encoding="ascii") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(str(exc), status=1)
+    text = _read_text(args.queries)
     qi, qj = _parse_queries(text, pt.n)
     answers = idx.query_many(qi, qj).tolist()
     if args.verify:
@@ -209,16 +192,8 @@ def cmd_lce(args):
 
 
 def _read_int_list(path):
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise CliError(str(exc), status=1)
     out = []
-    for tok in raw.replace(",", " ").split():
+    for tok in _read_text(path).replace(",", " ").split():
         try:
             out.append(int(tok))
         except ValueError:
@@ -388,12 +363,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except (OSError, ValueError) as exc:
         print("sst: error: %s" % exc, file=sys.stderr)
-        return exc.status
-    except ValueError as exc:
-        print("sst: error: %s" % exc, file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

@@ -40,7 +40,8 @@ class PackedText:
 
     @property
     def key_cap(self):
-        """Longest window ranked by its window keys, not by suffix order."""
+        """Longest window ranked by its window keys alone; longer windows
+        are ranked by doubling the classes of one key column."""
         return 128 // self.bits_per_symbol
 
     def char_at(self, i):

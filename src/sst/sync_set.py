@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .packed_text import dense_ranks, window_keys
+from .packed_text import (_column_symbols, dense_ranks, pack_columns,
+                          window_keys)
 from .succinct import RankBitvector
-from .suffix_core import SuffixArrayIndex
 
 
 @dataclass(frozen=True)
@@ -94,25 +94,25 @@ def r_mask(psets):
 
 def _fragment_classes(pt, length, count):
     """Ascending-lexicographic class ids of the length-`length` fragments
-    at starts 1..count.
+    at starts 1..count, which must lie inside the text.
 
     Up to the key capacity the fragments are ranked by their window
-    keys; beyond it the classes come from cutting suffix order wherever
-    the common prefix of neighbouring suffixes drops below the length.
-    Equal fragments share a class either way.
+    keys.  Beyond it the classes double, Karp-Miller-Rosenberg style,
+    from those of one key column: a fragment of length got + step, with
+    step <= got, equals and orders like the pair of classes of its two
+    overlapping length-got halves at i and i + step.  Once every class
+    is distinct, longer fragments keep that order.
     """
     if length <= pt.key_cap:
         return dense_ranks(window_keys(pt, length, count))
-    idx = SuffixArrayIndex(pt.symbols)
-    mask = idx.sa <= count
-    order = idx.sa[mask]
-    inv = np.zeros(count, dtype=np.int64)
-    if len(order) > 1:
-        ranks = np.nonzero(mask)[0]
-        lcp_pad = np.concatenate([idx.lcp, [0]])
-        mins = np.minimum.reduceat(lcp_pad, ranks)[:-1]
-        inv[order - 1] = np.concatenate([[0], np.cumsum(mins < length)])
-    return inv
+    got = _column_symbols(pt.sigma)
+    cls = dense_ranks(window_keys(pt, got, count + length - got))
+    while got < length and cls.max() + 1 < len(cls):
+        step, nc = min(got, length - got), int(cls.max()) + 1
+        cls = dense_ranks(pack_columns([(cls[:-step], nc), (cls[step:], nc)],
+                                       len(cls) - step))
+        got += step
+    return dense_ranks([cls[:count]])
 
 
 def build_partition(pt, tau):

@@ -83,6 +83,16 @@ def test_bwt_missing_input(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize("argv", [["bwt"], ["sync", "build", "--tau", "2"]])
+def test_unwritable_output_exits_1(tmp_path, capsys, argv):
+    src = tmp_path / "t.txt"
+    src.write_bytes(b"mississippi")
+    status, _, err = _run(capsys, *argv, "--input", str(src), "--output",
+                          str(tmp_path / "missing" / "x"))
+    assert status == 1
+    assert err.startswith("sst: error: ")
+
+
 def test_bwt_naive_flag(tmp_path, capsys):
     src = tmp_path / "t.txt"
     src.write_bytes(b"mississippi")
@@ -111,7 +121,7 @@ def test_sync_build_validate_stats(tmp_path, capsys):
 
 def test_sync_default_tau_past_key_capacity(tmp_path, capsys):
     # tau = 64 exceeds the byte key capacity of 16, so the det classes
-    # come from suffix order; without --tau the set takes default_tau
+    # double from one key column; without --tau the set takes default_tau
     text = np.random.default_rng(4096).integers(
         0, 256, size=4096, dtype=np.uint8)
     src = tmp_path / "t.txt"

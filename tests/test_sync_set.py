@@ -113,19 +113,30 @@ def test_q_and_b_match_oracles_on_mosaics(rng):
 
 @pytest.mark.parametrize("sigma,tau", [(4, 31), (4, 32), (4, 40), (4, 64),
                                        (4, 65), (256, 8), (256, 16),
-                                       (256, 17), (3, 40)])
+                                       (256, 17), (3, 40), (3, 65),
+                                       (3, 256), (4, 256), (256, 64),
+                                       (256, 100), (2, 512)])
 def test_partition_of_wide_windows_matches_grouping(rng, sigma, tau):
     # tau * bits > 62 packs two or three columns up to the key capacity
-    # and cuts suffix order beyond it
-    seq = random_text(rng, 500, sigma)
+    # and doubles the classes of one key column beyond it.  A period-3
+    # stretch keeps classes equal through every round, and so does a
+    # unary text; in plain random text the classes are distinct before
+    # the first round, and a repeat of tau/2 + 1 symbols makes them so
+    # after some rounds; tau = n ranks a single periodic window
+    n = max(500, 6 * tau)
+    seq = random_text(rng, n, sigma)
     word = random_text(rng, 3, sigma)
-    at = rng.randrange(0, 500 - 4 * tau)
-    seq[at:at + 4 * tau] = (word * (2 * tau))[:4 * tau]
-    pt = pack(seq, sigma)
-    wins = [tuple(seq[i:i + tau]) for i in range(len(seq) - tau + 1)]
-    rank = {w: r for r, w in enumerate(sorted(set(wins)))}
-    got = build_partition(pt, tau)
-    assert got.tolist() == [rank[w] for w in wins]
+    at = rng.randrange(0, n - 4 * tau)
+    spliced = list(seq)
+    spliced[at:at + 4 * tau] = (word * (2 * tau))[:4 * tau]
+    half = tau // 2 + 1
+    repeat = seq[:-half] + seq[:half]
+    for text in (spliced, seq, repeat, [sigma - 1] * n,
+                 spliced[at:at + tau]):
+        wins = [tuple(text[i:i + tau]) for i in range(len(text) - tau + 1)]
+        rank = {w: r for r, w in enumerate(sorted(set(wins)))}
+        got = build_partition(pack(text, sigma), tau)
+        assert got.tolist() == [rank[w] for w in wins]
 
 
 def _scan_scores(defined, tau):
@@ -183,6 +194,19 @@ def test_tampering_is_detected():
     report = validate_sync_set(pt, 2, drop)
     assert not report.ok and report.condition == "consistency"
 
+    # the same past the key capacity, 2tau = 80 > 64 symbols at sigma 4:
+    # the first member's context recurs in both later copies of the base,
+    # so it is the one offending context, witnessed by the twin one copy
+    # later and the dropped member
+    base = random_text(random.Random(80), 150, 4)
+    pt = pack(base * 3, 4)
+    s = construct_deterministic(pt, 40)
+    assert validate_sync_set(pt, 40, s).ok
+    p = int(s.positions[0])
+    report = validate_sync_set(pt, 40, SyncSet(40, pt.n, s.positions[1:]))
+    assert (report.ok, report.condition, report.witness) == (
+        False, "consistency", (p + 150, p))
+
 
 def test_consistency_violation_witness():
     seq = [0, 1, 0, 1, 0, 0, 1, 0, 1, 0]
@@ -228,7 +252,7 @@ def test_det_matches_oracle(rng):
         checked += 1
         got = construct_deterministic(pack(seq, sigma), tau)
         assert got.positions.tolist() == naive_det_positions(seq, tau)
-    # past the byte key capacity the classes come from suffix order
+    # past the byte key capacity the classes double from one key column
     for kind in (random_text, periodic_mosaic):
         for _ in range(3):
             seq = kind(rng, rng.randrange(60, 300), 256)

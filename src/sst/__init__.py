@@ -1,8 +1,8 @@
 """String synchronizing sets with LCE, BWT, and counting applications."""
 
-from .packed_text import (PackedText, dense_ranks, lcp_fragments,
-                          lcp_fragments_many, pack, pack_columns,
-                          short_periods, window_keys)
+from .packed_text import (PackedText, dense_ranks, doubled_classes,
+                          lcp_fragments, lcp_fragments_many, pack,
+                          pack_columns, short_periods, window_keys)
 from .succinct import RankBitvector, count_inversions_bits
 from .suffix_core import SuffixArrayIndex, build_suffix_array
 from .sync_set import (SyncSet, compute_q_and_b, construct,

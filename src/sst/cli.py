@@ -82,7 +82,7 @@ def cmd_sync(args):
         if not args.set:
             raise CliError("validate requires --set")
         s = load_sync_set(args.set)
-        tau = args.tau if args.tau else s.tau
+        tau = args.tau if args.tau is not None else s.tau
         if s.n != pt.n or s.tau != tau:
             print("structure violation: set header (tau=%d n=%d) does not "
                   "match the text (tau=%d n=%d)" % (s.tau, s.n, tau, pt.n))
@@ -100,7 +100,7 @@ def cmd_sync(args):
         else:
             print("structure violation: %s" % report.message)
         return 1
-    tau = args.tau if args.tau else default_tau(pt.n, pt.sigma)
+    tau = args.tau if args.tau is not None else default_tau(pt.n, pt.sigma)
     if not 1 <= tau <= pt.n // 2:
         raise CliError("tau must satisfy 1 <= tau <= n/2 (n=%d)" % pt.n)
     if args.action == "build":
@@ -225,16 +225,17 @@ def _bench_text(n, seed):
 
 def _time_call(fn, repeat):
     """Best time over repeat calls, and the last call's result."""
-    best = None
+    best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
         out = fn()
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
+        best = min(best, time.perf_counter() - t0)
     return best, out
 
 
 def cmd_bench(args):
+    if args.repeat < 1:
+        raise CliError("--repeat must be at least 1")
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     rows = []
     for n in sizes:

@@ -38,12 +38,6 @@ class PackedText:
     def __len__(self):
         return self.n
 
-    @property
-    def key_cap(self):
-        """Longest window ranked by its window keys alone; longer windows
-        are ranked by doubling the classes of one key column."""
-        return 128 // self.bits_per_symbol
-
     def char_at(self, i):
         """Symbol at 1-based position i."""
         if not 1 <= i <= self.n:
@@ -351,3 +345,25 @@ def dense_ranks(cols):
     ranks = np.empty(len(order), dtype=np.int64)
     ranks[order] = np.cumsum(new)
     return ranks
+
+
+def doubled_classes(cls, got, length=None):
+    """Prefix doubling (Karp, Miller and Rosenberg, STOC 1972) of the
+    dense classes cls of the got-symbol fragments at every start: each
+    round yields the classes of fragments step <= got symbols longer,
+    the dense ranks of the pairs of classes at i and i + step, where a
+    partner past the end reads below every class.  step is got, cut to
+    reach length if given; the rounds stop at length or once every
+    class is distinct.
+
+    >>> [c.tolist() for c in doubled_classes(np.array([1, 0, 1, 0]), 1)]
+    [[2, 1, 2, 0], [3, 1, 2, 0]]
+    """
+    m = len(cls)
+    while (length is None or got < length) and cls.max(initial=-1) + 1 < m:
+        step = got if length is None else min(got, length - got)
+        nxt = np.zeros(m, dtype=np.int64)
+        nxt[:m - step] = cls[step:] + 1
+        cls = dense_ranks(pack_columns([(cls, m), (nxt, m + 1)], m))
+        got += step
+        yield cls

@@ -18,7 +18,7 @@ raise.
 
 import numpy as np
 
-from .packed_text import dense_ranks, pack_columns
+from .packed_text import dense_ranks, doubled_classes
 
 
 class SuffixArrayIndex:
@@ -38,25 +38,15 @@ class SuffixArrayIndex:
         self._ranks = [] if with_lcp else None
         self._lcp = None
         self._rmq = None
-        if n == 0:
-            self.sa = np.zeros(0, dtype=np.int64)
-            self.isa = np.zeros(0, dtype=np.int64)
-            return
         narrow = next(t for t in (np.int16, np.int32, np.int64)
                       if n <= np.iinfo(t).max)
         rank = dense_ranks([arr])
-        k = 1
-        while int(rank.max()) < n - 1:
+        for nxt in doubled_classes(rank, 1):
             if with_lcp:
                 # -1 at index n stands for a block that runs past the end
-                kept = np.empty(n + 1, dtype=narrow)
-                kept[:n] = rank
-                kept[n] = -1
-                self._ranks.append(kept)
-            nxt = np.zeros(n, dtype=np.int64)
-            nxt[:n - k] = rank[k:] + 1
-            rank = dense_ranks(pack_columns([(rank, n), (nxt, n + 1)], n))
-            k *= 2
+                self._ranks.append(np.full(n + 1, -1, dtype=narrow))
+                self._ranks[-1][:n] = rank
+            rank = nxt
         sa0 = np.empty(n, dtype=np.int64)
         sa0[rank] = np.arange(n)
         self.sa = sa0 + 1

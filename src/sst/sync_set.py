@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .packed_text import (_column_symbols, dense_ranks, pack_columns,
+from .packed_text import (_column_symbols, dense_ranks, doubled_classes,
                           window_keys)
 from .succinct import RankBitvector
 
@@ -96,23 +96,15 @@ def _fragment_classes(pt, length, count):
     """Ascending-lexicographic class ids of the length-`length` fragments
     at starts 1..count, which must lie inside the text.
 
-    Up to the key capacity the fragments are ranked by their window
-    keys.  Beyond it the classes double, Karp-Miller-Rosenberg style,
-    from those of one key column: a fragment of length got + step, with
-    step <= got, equals and orders like the pair of classes of its two
-    overlapping length-got halves at i and i + step.  Once every class
-    is distinct, longer fragments keep that order.
+    Window keys rank the fragments of one key column, or fewer symbols,
+    at the starts up to count + length - 1; doubled_classes doubles
+    them up to `length`.  Starts past count only feed the rounds.
     """
-    if length <= pt.key_cap:
-        return dense_ranks(window_keys(pt, length, count))
-    got = _column_symbols(pt.sigma)
+    got = min(length, _column_symbols(pt.sigma))
     cls = dense_ranks(window_keys(pt, got, count + length - got))
-    while got < length and cls.max() + 1 < len(cls):
-        step, nc = min(got, length - got), int(cls.max()) + 1
-        cls = dense_ranks(pack_columns([(cls[:-step], nc), (cls[step:], nc)],
-                                       len(cls) - step))
-        got += step
-    return dense_ranks([cls[:count]])
+    for cls in doubled_classes(cls, got, length):
+        pass
+    return cls if len(cls) == count else dense_ranks([cls[:count]])
 
 
 def build_partition(pt, tau):

@@ -119,9 +119,29 @@ def test_sync_build_validate_stats(tmp_path, capsys):
     assert "size=" in out and "bound_30n_over_tau=" in out
 
 
+@pytest.mark.parametrize("tau", ["0", "-1"])
+def test_sync_nonpositive_tau(tmp_path, capsys, tau):
+    # an explicit --tau below 1 is checked, not replaced by a default
+    src = tmp_path / "t.txt"
+    src.write_bytes(b"abracadabra-abracadabra")
+    sset = tmp_path / "s.txt"
+    for action in ("build", "stats"):
+        status, _, err = _run(capsys, "sync", action, "--input", str(src),
+                              "--tau", tau, "--output", str(sset))
+        assert status == 2 and "tau must satisfy" in err, action
+    assert not sset.exists()
+    assert _run(capsys, "sync", "build", "--input", str(src),
+                "--output", str(sset))[0] == 0
+    status, out, _ = _run(capsys, "sync", "validate", "--input", str(src),
+                          "--set", str(sset), "--tau", tau)
+    assert status == 1
+    assert out.startswith("structure violation: set header") and \
+        "(tau=%s n=23)" % tau in out
+
+
 def test_sync_default_tau_past_key_capacity(tmp_path, capsys):
-    # tau = 64 exceeds the byte key capacity of 16, so the det classes
-    # double from one key column; without --tau the set takes default_tau
+    # tau = 64 exceeds one byte key column of 7 symbols, so the det
+    # classes double from it; without --tau the set takes default_tau
     text = np.random.default_rng(4096).integers(
         0, 256, size=4096, dtype=np.uint8)
     src = tmp_path / "t.txt"
@@ -368,6 +388,14 @@ def test_bench_json(tmp_path, capsys):
         == sizes["build_bwt_sync"] > 0
     assert sizes["sync_construct_det"] > 0
     assert sizes["build_bwt_naive"] is None
+
+
+@pytest.mark.parametrize("repeat", ["0", "-2"])
+def test_bench_rejects_repeat_below_1(capsys, repeat):
+    status, out, err = _run(capsys, "bench", "--sizes", "64",
+                            "--repeat", repeat)
+    assert status == 2 and not out
+    assert err == "sst: error: --repeat must be at least 1\n"
 
 
 def test_determinism(tmp_path, capsys):

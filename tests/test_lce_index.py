@@ -218,7 +218,7 @@ def test_query_many_matches_query(sigma, kind, n, seed, data):
     seq = TEXTS[kind](rng, n, sigma)
     bits = max(1, (sigma - 1).bit_length())
     word_limit = max(1, 62 // (3 * bits))
-    # up to the word limit, past the key capacity, and 2tau > n (direct)
+    # up to the word limit, past two key columns, and 2tau > n (direct)
     tau = data.draw(st.one_of(
         st.none(), st.integers(1, word_limit),
         st.sampled_from([1, word_limit, 128 // bits + 1, n // 2 + 1])))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sst.packed_text import (dense_ranks, lcp_fragments, lcp_fragments_many,
-                             pack, pack_columns, short_periods, window_keys,
+from sst.packed_text import (_column_symbols, dense_ranks, doubled_classes,
+                             lcp_fragments, lcp_fragments_many, pack,
+                             pack_columns, short_periods, window_keys,
                              window_radices)
 from sst.reference_oracles import naive_lce, naive_period
 
@@ -44,7 +45,8 @@ def test_extract_matches_digits(rng):
         pt = pack(seq, sigma)
         for _ in range(80):
             i = rng.randrange(1, 61)
-            ln = rng.randrange(1, min(60 - i + 1, pt.key_cap) + 1)
+            ln = rng.randrange(1, min(60 - i + 1,
+                                        128 // pt.bits_per_symbol) + 1)
             want = 0
             for c in seq[i - 1:i - 1 + ln]:
                 want = want * sigma + c
@@ -239,3 +241,60 @@ def test_window_keys_matches_horner(sigma, n, seed, length, data):
                 + (0,) * max(0, i - 1 + length - n) for i in at]
         assert dense_ranks(got).tolist() == [sorted(set(wins)).index(x)
                                              for x in wins]
+
+
+def _tuple_ranks(seq, length, count):
+    # dense ranks of the fragments seq[i:i+length], i < count, cut short
+    # by the end of seq; a proper prefix sorts first, as tuples do
+    frags = [tuple(seq[i:i + length]) for i in range(count)]
+    order = sorted(set(frags))
+    return [order.index(f) for f in frags]
+
+
+def _doubling_texts(rng, n, sigma):
+    return {"random": random_text(rng, n, sigma),
+            "period-3": (random_text(rng, 3, sigma) * n)[:n],
+            "unary": [sigma - 1] * n}
+
+
+@pytest.mark.parametrize("sigma", [2, 4, 256])
+def test_doubled_classes_unbounded_rank_suffixes(rng, sigma):
+    # from single symbols with no bound: the lengths double, and the
+    # rounds stop at the first one whose classes are all distinct
+    for kind, seq in _doubling_texts(rng, 150, sigma).items():
+        cls = dense_ranks([np.array(seq)])
+        rounds = list(doubled_classes(cls, 1))
+        for k, got in enumerate(rounds, 1):
+            assert got.tolist() == _tuple_ranks(seq, 2 ** k, len(seq)), kind
+        distinct = [len(set(c.tolist())) == len(seq) for c in [cls] + rounds]
+        assert distinct[-1] and not any(distinct[:-1]), kind
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 4, 16, 256])
+def test_doubled_classes_bounded_from_one_key_column(rng, sigma):
+    # from the window keys of one column up to a length bound: the steps
+    # are got, cut to reach the bound; the starts whose fragment lies in
+    # the text rank like tuples after every round
+    c = _column_symbols(sigma)
+    for length in (c + 1, 2 * c, 2 * c + 7, 5 * c - 3):
+        n = length + 40
+        for kind, seq in _doubling_texts(rng, n, sigma).items():
+            pt = pack(seq, sigma)
+            cls = dense_ranks(window_keys(pt, c, n - c + 1))
+            lengths, got = [], c
+            while got < length:
+                got += min(got, length - got)
+                lengths.append(got)
+            rounds = list(doubled_classes(cls, c, length))
+            assert len(rounds) <= len(lengths)
+            for got, ranks in zip(lengths, rounds):
+                fit = n - got + 1
+                assert dense_ranks([ranks[:fit]]).tolist() == _tuple_ranks(
+                    seq, got, fit), (kind, length, got)
+            last = rounds[-1] if rounds else cls
+            if len(rounds) < len(lengths):
+                assert len(set(last.tolist())) == len(last), (kind, length)
+            else:
+                fit = n - length + 1
+                assert dense_ranks([last[:fit]]).tolist() == _tuple_ranks(
+                    seq, length, fit), (kind, length)

@@ -1,5 +1,9 @@
+import random
+
+import numpy as np
 import pytest
 
+from sst.packed_text import lcp_fragments_many, pack
 from sst.suffix_core import SuffixArrayIndex, build_suffix_array
 from sst.reference_oracles import (doubling_suffix_array, naive_lce,
                                    naive_suffix_array)
@@ -118,3 +122,34 @@ def test_without_lcp_keeps_no_ranks_and_refuses_lcp(rng):
                  lambda: bare.lce_many([1], [2]), bare.prepare_lce):
         with pytest.raises(ValueError, match="without LCP support"):
             call()
+
+
+def test_lcp_past_int16_ranks_on_repeats():
+    # n = 2^15 + 5 keeps the doubling ranks as int32, one past int16;
+    # mutated copies of one base make common prefixes of thousands of
+    # symbols, so the lifting reads a dozen kept rounds
+    rng = random.Random(15)
+    base = random_text(rng, 3000, 4)
+    seq = []
+    while len(seq) < (1 << 15) + 5:
+        copy = list(base)
+        for _ in range(3):
+            copy[rng.randrange(len(copy))] = rng.randrange(4)
+        seq += copy
+    seq = seq[:(1 << 15) + 5]
+    n = len(seq)
+    idx = SuffixArrayIndex(seq)
+    sa = idx.sa
+    assert sorted(sa.tolist()) == list(range(1, n + 1))
+    want = lcp_fragments_many(pack(seq, 4), sa[:-1], sa[1:], n)
+    assert want.max() > 2000
+    # one narrow copy per round until the 2^k-prefixes are distinct,
+    # that is until 2^k exceeds the longest common prefix
+    assert len(idx._ranks) == int(want.max()).bit_length()
+    assert all(r.dtype == np.int32 for r in idx._ranks)
+    assert np.array_equal(idx.lcp, want)
+    # each adjacent pair is in order: the first suffix ends, or its next
+    # symbol is smaller
+    arr = np.array(seq + [-1])
+    a, b = sa[:-1] - 1 + want, sa[1:] - 1 + want
+    assert np.all((a == n) | (arr[np.minimum(a, n)] < arr[np.minimum(b, n)]))

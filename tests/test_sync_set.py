@@ -117,8 +117,8 @@ def test_q_and_b_match_oracles_on_mosaics(rng):
                                        (3, 256), (4, 256), (256, 64),
                                        (256, 100), (2, 512)])
 def test_partition_of_wide_windows_matches_grouping(rng, sigma, tau):
-    # tau * bits > 62 packs two or three columns up to the key capacity
-    # and doubles the classes of one key column beyond it.  A period-3
+    # tau * bits > 62, so the classes of one key column double up to
+    # tau: one round at one column + 1, more past two columns.  A period-3
     # stretch keeps classes equal through every round, and so does a
     # unary text; in plain random text the classes are distinct before
     # the first round, and a repeat of tau/2 + 1 symbols makes them so
@@ -194,7 +194,7 @@ def test_tampering_is_detected():
     report = validate_sync_set(pt, 2, drop)
     assert not report.ok and report.condition == "consistency"
 
-    # the same past the key capacity, 2tau = 80 > 64 symbols at sigma 4:
+    # the same past two key columns, 2tau = 80 > 62 symbols at sigma 4:
     # the first member's context recurs in both later copies of the base,
     # so it is the one offending context, witnessed by the twin one copy
     # later and the dropped member
@@ -252,7 +252,7 @@ def test_det_matches_oracle(rng):
         checked += 1
         got = construct_deterministic(pack(seq, sigma), tau)
         assert got.positions.tolist() == naive_det_positions(seq, tau)
-    # past the byte key capacity the classes double from one key column
+    # past two byte key columns the classes double from one key column
     for kind in (random_text, periodic_mosaic):
         for _ in range(3):
             seq = kind(rng, rng.randrange(60, 300), 256)

@@ -97,14 +97,14 @@ def _fragment_classes(pt, length, count):
     at starts 1..count, which must lie inside the text.
 
     Window keys rank the fragments of one key column, or fewer symbols,
-    at the starts up to count + length - 1; doubled_classes doubles
-    them up to `length`.  Starts past count only feed the rounds.
+    at the starts up to count + length - 1; doubled_classes doubles them
+    up to `length`, and the classes at 1..count are renumbered densely.
     """
     got = min(length, _column_symbols(pt.sigma))
     cls = dense_ranks(window_keys(pt, got, count + length - got))
     for cls in doubled_classes(cls, got, length):
         pass
-    return cls if len(cls) == count else dense_ranks([cls[:count]])
+    return np.cumsum(np.bincount(cls[:count]) > 0)[cls[:count]] - 1
 
 
 def build_partition(pt, tau):

@@ -351,10 +351,10 @@ def doubled_classes(cls, got, length=None):
     """Prefix doubling (Karp, Miller and Rosenberg, STOC 1972) of the
     dense classes cls of the got-symbol fragments at every start: each
     round yields the classes of fragments step <= got symbols longer,
-    the dense ranks of the pairs of classes at i and i + step, where a
-    partner past the end reads below every class.  step is got, cut to
-    reach length if given; the rounds stop at length or once every
-    class is distinct.
+    the dense ranks of the pairs of classes at i and i + step, packed
+    into one int64 (below 3e9 starts), where a partner past the end
+    reads below every class.  step is got, cut to reach length if
+    given; the rounds stop at length or once every class is distinct.
 
     >>> [c.tolist() for c in doubled_classes(np.array([1, 0, 1, 0]), 1)]
     [[2, 1, 2, 0], [3, 1, 2, 0]]
@@ -362,8 +362,8 @@ def doubled_classes(cls, got, length=None):
     m = len(cls)
     while (length is None or got < length) and cls.max(initial=-1) + 1 < m:
         step = got if length is None else min(got, length - got)
-        nxt = np.zeros(m, dtype=np.int64)
-        nxt[:m - step] = cls[step:] + 1
-        cls = dense_ranks(pack_columns([(cls, m), (nxt, m + 1)], m))
+        key = cls * (m + 1)
+        key[:m - step] += cls[step:] + 1
+        cls = dense_ranks([key])
         got += step
         yield cls

@@ -125,9 +125,9 @@ def test_without_lcp_keeps_no_ranks_and_refuses_lcp(rng):
 
 
 def test_lcp_past_int16_ranks_on_repeats():
-    # n = 2^15 + 5 keeps the doubling ranks as int32, one past int16;
-    # mutated copies of one base make common prefixes of thousands of
-    # symbols, so the lifting reads a dozen kept rounds
+    # n = 2^15 + 5 lies just past where the kept ranks turn from int16
+    # to int32; mutated copies of one base make common prefixes of
+    # thousands of symbols, so the lifting reads a dozen kept rounds
     rng = random.Random(15)
     base = random_text(rng, 3000, 4)
     seq = []
@@ -148,8 +148,7 @@ def test_lcp_past_int16_ranks_on_repeats():
     assert len(idx._ranks) == int(want.max()).bit_length()
     assert all(r.dtype == np.int32 for r in idx._ranks)
     assert np.array_equal(idx.lcp, want)
-    # each adjacent pair is in order: the first suffix ends, or its next
-    # symbol is smaller
+    # each adjacent pair is in order: past the common prefix the first
+    # suffix has the smaller symbol, or -1 where it ended
     arr = np.array(seq + [-1])
-    a, b = sa[:-1] - 1 + want, sa[1:] - 1 + want
-    assert np.all((a == n) | (arr[np.minimum(a, n)] < arr[np.minimum(b, n)]))
+    assert np.all(arr[sa[:-1] - 1 + want] < arr[sa[1:] - 1 + want])

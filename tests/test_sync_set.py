@@ -117,8 +117,8 @@ def test_q_and_b_match_oracles_on_mosaics(rng):
                                        (3, 256), (4, 256), (256, 64),
                                        (256, 100), (2, 512)])
 def test_partition_of_wide_windows_matches_grouping(rng, sigma, tau):
-    # tau * bits > 62, so the classes of one key column double up to
-    # tau: one round at one column + 1, more past two columns.  A period-3
+    # past one key column the classes of one column double up to tau:
+    # one round up to two columns, more past them.  A period-3
     # stretch keeps classes equal through every round, and so does a
     # unary text; in plain random text the classes are distinct before
     # the first round, and a repeat of tau/2 + 1 symbols makes them so

@@ -291,10 +291,9 @@ def test_doubled_classes_bounded_from_one_key_column(rng, sigma):
                 fit = n - got + 1
                 assert dense_ranks([ranks[:fit]]).tolist() == _tuple_ranks(
                     seq, got, fit), (kind, length, got)
-            last = rounds[-1] if rounds else cls
-            if len(rounds) < len(lengths):
-                assert len(set(last.tolist())) == len(last), (kind, length)
-            else:
-                fit = n - length + 1
-                assert dense_ranks([last[:fit]]).tolist() == _tuple_ranks(
-                    seq, length, fit), (kind, length)
+            # a round runs only while some class repeats, and the rounds
+            # end before the bound only once every class is distinct
+            distinct = [len(set(r.tolist())) == len(r)
+                        for r in [cls] + rounds]
+            assert not any(distinct[:-1]), (kind, length)
+            assert len(rounds) == len(lengths) or distinct[-1], (kind, length)

@@ -3,7 +3,6 @@
 from .packed_text import (PackedText, dense_ranks, doubled_classes,
                           lcp_fragments, lcp_fragments_many, pack,
                           pack_columns, short_periods, window_keys)
-from .succinct import RankBitvector, count_inversions_bits
 from .suffix_core import SuffixArrayIndex, build_suffix_array
 from .sync_set import (SyncSet, compute_q_and_b, construct,
                        construct_deterministic, construct_randomized,
@@ -12,7 +11,7 @@ from .sync_sort import SortedSyncOrder, TPrimeString, sort_sync_suffixes
 from .lce_index import LceIndex, default_tau
 from .bwt_builder import BwtResult, build_bwt, invert_bwt, read_bwt, write_bwt
 from .inversions import (ReductionText, build_reduction_general,
-                         build_reduction_small, count_inversions_via_bwt,
-                         extract_wavelet_blocks)
+                         build_reduction_small, count_inversions_bits,
+                         count_inversions_via_bwt, extract_wavelet_blocks)
 
 __version__ = "0.1.0"

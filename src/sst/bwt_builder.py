@@ -112,14 +112,15 @@ def _emit_blocks(pt, tau, s, order):
     return bwt, int(np.flatnonzero(sa == 0)[0]) + 1
 
 
-def _naive_result(pt, tau, reason="naive-fallback"):
+def _naive_result(pt, tau):
     sym = np.asarray(pt.symbols, dtype=np.int64)
     idx = SuffixArrayIndex(sym, with_lcp=False)
     sa = idx.sa
     bwt = sym[sa - 2]
     primary = int(np.nonzero(sa == 1)[0][0]) + 1
     meta = {"n": pt.n, "sigma": pt.sigma, "tau": int(tau),
-            "primary_index": primary, "sync_size": 0, "pipeline": reason}
+            "primary_index": primary, "sync_size": 0,
+            "pipeline": "naive-fallback"}
     if pt.sigma <= 256:
         bwt = bwt.astype(np.uint8)
     return BwtResult(bwt, primary, meta)

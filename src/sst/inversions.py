@@ -14,7 +14,6 @@ import numpy as np
 
 from .bwt_builder import build_bwt
 from .packed_text import pack, window_keys
-from .succinct import count_inversions_bits
 
 
 class ReductionText:
@@ -41,6 +40,21 @@ def _int_values(a):
     if vals.ndim != 1 or (vals.size and vals.dtype.kind not in "biu"):
         raise ValueError("values must be a 1-D sequence of integers")
     return vals.astype(np.int64)
+
+
+def count_inversions_bits(bits):
+    """Number of pairs i < j with bits[i] = 1 and bits[j] = 0.
+
+    >>> count_inversions_bits([1, 0, 1, 0, 0])
+    5
+    """
+    arr = np.asarray(bits, dtype=np.uint8)
+    if arr.ndim != 1:
+        raise ValueError("bits must be one-dimensional")
+    if arr.size and arr.max() > 1:
+        raise ValueError("bit values must be 0 or 1")
+    ones = np.cumsum(arr, dtype=np.int64)
+    return int(ones[arr == 0].sum())
 
 
 def _padded(a, domain=None):

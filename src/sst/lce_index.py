@@ -1,16 +1,20 @@
 """Constant-time longest common extension queries.
 
-The index stores the packed text, a synchronizing set with rank support,
-and a suffix-array index of the reduced string over the synchronizing
-positions.  The set is the randomized construction with seed 0: valid
-for every seed, fully vectorised, and the same on every run.  A query
-compares at most 3tau packed symbols directly, hops to the successors
-inside the synchronizing set, translates the remaining work to one LCE
-query in the reduced string, and finishes with another bounded packed
-comparison.  Highly periodic stretches never contain synchronizing
-positions; the successor offsets alone determine the answer there.
+The index stores the packed text, the sorted members of a synchronizing
+set, and a suffix-array index of the reduced string over the
+synchronizing positions.  The set is the randomized construction with
+seed 0: valid for every seed, fully vectorised, and the same on every
+run.  A query compares at most 3tau packed symbols directly, hops to
+the successors inside the synchronizing set, translates the remaining
+work to one LCE query in the reduced string, and finishes with another
+bounded packed comparison.  The successor of i is found by a binary
+search of the members, which a directory of 64-position buckets bounds
+to the at most 64 members in the bucket of i - 1.  Highly periodic
+stretches never contain synchronizing positions; the successor offsets
+alone determine the answer there.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -81,13 +85,17 @@ class LceIndex:
             self.sync = SyncSet(tau, n, np.zeros(0, dtype=np.int64))
         else:
             self.sync = construct(pt, tau, mode="random", seed=0)
-        self.order = sort_sync_suffixes(pt, self.sync)
-        self.order.suffix_index.prepare_lce()
-        self._rank1 = self.sync.rank_structure().rank1
+        self._reduced = sort_sync_suffixes(pt, self.sync).suffix_index
+        self._reduced.prepare_lce()
         # _succ[r]: the member of rank r, the sentinel for r >= |S|
         sent = self.sync.sentinel
         self._succ = np.append(self.sync.positions, [sent, sent])
+        self.sync.positions = self._succ[:-2]
         self._succ_list = self._succ.tolist()
+        # _first[b]: the number of members below 64b, so the members at
+        # 64b..64b+63, at most 64, have ranks _first[b].._first[b + 1] - 1
+        self._first = np.searchsorted(self.sync.positions,
+                                      np.arange(0, n + 64, 64)).tolist()
 
     def query(self, i, j):
         """LCE of the suffixes starting at 1-based positions i and j."""
@@ -103,9 +111,13 @@ class LceIndex:
         if head < cap:
             return head
         succ = self._succ_list
+        first = self._first
         nprime = len(self.sync)
-        ir = self._rank1(i - 1)
-        jr = self._rank1(j - 1)
+        # the rank of the successor of i: the number of members below i
+        k = (i - 1) >> 6
+        ir = bisect_right(succ, i - 1, first[k], first[k + 1])
+        k = (j - 1) >> 6
+        jr = bisect_right(succ, j - 1, first[k], first[k + 1])
         di = succ[ir] - i
         dj = succ[jr] - j
         if di != dj:
@@ -113,7 +125,7 @@ class LceIndex:
         if ir == nprime or jr == nprime:
             ell = 0
         else:
-            ell = self.order.suffix_index.lce(ir + 1, jr + 1)
+            ell = self._reduced.lce(ir + 1, jr + 1)
         ai = ir + ell
         bi = jr + ell
         a = succ[ai]
@@ -129,13 +141,17 @@ class LceIndex:
 
         Every step of query runs on whole blocks of QUERY_BLOCK pairs,
         which bounds the temporaries; np.searchsorted over the sorted
-        members stands in for the rank structure.
+        members finds the successors.
         """
         n = self.pt.n
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
+        i = np.asarray(i)
+        j = np.asarray(j)
         if i.ndim != 1 or i.shape != j.shape:
             raise ValueError("positions must be two 1-D arrays of one length")
+        if i.size and (i.dtype.kind not in "iu" or j.dtype.kind not in "iu"):
+            raise ValueError("positions must be integers")
+        i = i.astype(np.int64, copy=False)
+        j = j.astype(np.int64, copy=False)
         if np.any((i < 1) | (i > n) | (j < 1) | (j > n)):
             raise IndexError("positions out of range [1..%d]" % n)
         out = np.empty(len(i), dtype=np.int64)
@@ -169,8 +185,7 @@ class LceIndex:
         i, ir, jr = i[go], ir[go], jr[go]
         ell = np.zeros(len(go), dtype=np.int64)
         both = np.flatnonzero((ir < nprime) & (jr < nprime))
-        ell[both] = self.order.suffix_index.lce_many(ir[both] + 1,
-                                                     jr[both] + 1)
+        ell[both] = self._reduced.lce_many(ir[both] + 1, jr[both] + 1)
         ai = ir + ell
         bi = jr + ell
         a = succ[ai]

@@ -105,7 +105,7 @@ def naive_inversions(a):
 
 def fenwick_inversions(a):
     """Inversion count with a basic Fenwick tree, independent of the
-    package's succinct structures."""
+    package's BWT-based counting."""
     a = list(a)
     if not a:
         return 0

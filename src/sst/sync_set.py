@@ -19,13 +19,12 @@ near the class's starts.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .packed_text import (_column_symbols, dense_ranks, doubled_classes,
                           window_keys)
-from .succinct import RankBitvector
 
 
 @dataclass(frozen=True)
@@ -118,12 +117,11 @@ def build_partition(pt, tau):
 
 @dataclass
 class SyncSet:
-    """Sorted 1-based synchronizing positions with rank support."""
+    """Sorted 1-based synchronizing positions."""
 
     tau: int
     n: int
     positions: np.ndarray
-    _rank: RankBitvector = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.int64)
@@ -134,14 +132,6 @@ class SyncSet:
     @property
     def sentinel(self):
         return self.n - 2 * self.tau + 2
-
-    def rank_structure(self):
-        if self._rank is None:
-            bits = np.zeros(self.n, dtype=np.uint8)
-            if len(self.positions):
-                bits[self.positions - 1] = 1
-            self._rank = RankBitvector(bits)
-        return self._rank
 
 
 def _window_min(a, width):

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from sst.inversions import (ReductionText, _blocks_general,
                             build_reduction_general, build_reduction_small,
-                            count_inversions_via_bwt, extract_wavelet_blocks)
+                            count_inversions_bits, count_inversions_via_bwt,
+                            extract_wavelet_blocks)
 from sst.cli import main
 from sst.packed_text import pack
 from sst.reference_oracles import (fenwick_inversions, naive_inversions,
@@ -209,3 +210,18 @@ def test_general_variant_property(raw, data):
         assert count_inversions_via_bwt(
             narrow, "small", k=k,
             force_naive_bwt=naive) == naive_inversions(narrow)
+
+
+def test_count_inversions_bits_frozen():
+    assert count_inversions_bits([1, 0, 1, 0, 0]) == 5
+    assert count_inversions_bits([1, 0, 1, 0]) == 3
+    assert count_inversions_bits([]) == 0
+    assert count_inversions_bits([0, 0, 1, 1]) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=200))
+def test_count_inversions_bits_property(bits):
+    want = sum(1 for i in range(len(bits)) for j in range(i + 1, len(bits))
+               if bits[i] > bits[j])
+    assert count_inversions_bits(bits) == want

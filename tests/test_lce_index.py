@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -253,3 +254,41 @@ def test_query_many_empty_and_out_of_range():
         idx.query_many([1, 2], [3])
     direct = LceIndex(pack([1], 2))
     assert direct.query_many([1], [1]).tolist() == [1]
+
+
+def test_query_many_rejects_non_integer_positions():
+    idx = LceIndex(pack([0, 1, 0, 1, 1, 0, 1, 0], 2), tau=1)
+    for i, j in (([1.9], [3.2]), ([1], [3.0]), ([True], [2]), (["1"], [3]),
+                 ([1, 2], np.array([3, 4], dtype=np.float32))):
+        with pytest.raises(ValueError):
+            idx.query_many(i, j)
+    assert idx.query_many(np.array([1], dtype=np.uint8),
+                          np.array([3], dtype=np.int32)).tolist() == [
+        idx.query(1, 3)]
+
+
+def test_successor_search_within_one_bucket(rng):
+    # tau = 1 makes every position a member, so a bucket holds all 64;
+    # the periodic tail of the last text holds no member, which leaves
+    # whole 64-position buckets empty
+    texts = [(random_text(rng, 200, 256), 256, 1),
+             (random_text(rng, 700, 2), 2, None),
+             (random_text(rng, 60, 4) + [3, 0] * 150, 4, 6)]
+    for seq, sigma, tau in texts:
+        idx = LceIndex(pack(seq, sigma), tau=tau)
+        pos = idx.sync.positions.tolist()
+        sent = idx.sync.sentinel
+        first = idx._first
+        for i in range(1, sent):
+            b = (i - 1) >> 6
+            lo, hi = first[b], first[b + 1]
+            rank = bisect.bisect_right(idx._succ_list, i - 1, lo, hi)
+            want = sum(p < i for p in pos)
+            assert lo <= want <= hi and hi - lo <= 64, (sigma, i)
+            assert rank == want, (sigma, i)
+            after = [p for p in pos if p >= i]
+            assert idx._succ_list[rank] == (after[0] if after else sent)
+        if tau == 1:
+            assert pos == list(range(1, sent)) and first[2] - first[1] == 64
+        if sigma == 4:
+            assert pos[-1] + 128 < sent

@@ -367,21 +367,6 @@ def test_ids_above_twice_n_with_q():
                            psets.q)
 
 
-def test_succ_and_sentinel(rng):
-    # the successor lookup of LceIndex.query: the member of rank
-    # rank1(i - 1), or the sentinel past the last member
-    pt = pack(random_text(rng, 60, 2), 2)
-    s = construct_deterministic(pt, 4)
-    assert s.sentinel == 60 - 8 + 2
-    pos = list(s.positions)
-    rank1 = s.rank_structure().rank1
-    for i in range(1, 60 - 8 + 2):
-        after = [p for p in pos if p >= i]
-        r = rank1(i - 1)
-        assert (pos[r] if r < len(pos) else s.sentinel) == (
-            after[0] if after else s.sentinel)
-
-
 def test_save_load_round_trip(tmp_path, rng):
     pt = pack(random_text(rng, 80, 2), 2)
     s = construct_deterministic(pt, 3)

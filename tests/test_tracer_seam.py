@@ -20,6 +20,7 @@ ABSENT = {
     "bwt_builder.correct_periodic",
     "suffix_core._kasai",
     "sync_set.construct_packed_fast",
+    "sync_set.RankBitvector",
     "lce_index.construct_packed_fast",
     "inversions.count_freq",
 }

@@ -25,7 +25,7 @@ packed pipeline.
 
 import numpy as np
 
-from .lce_index import default_tau
+from .lce_index import resolve_tau
 from .packed_text import pack_columns, sort_rows, window_keys, window_radices
 from .suffix_core import SuffixArrayIndex
 from .sync_set import construct
@@ -70,15 +70,17 @@ def _sort_keys(pt, tau, s, rank):
     return key, np.minimum(cap, n + 1 - pos), tie
 
 
-def _emit_blocks(pt, tau, s, order):
+def _emit_blocks(pt, tau, s, isa, runs):
     """Sort all suffixes by their sort keys and emit the transform.
 
-    Returns the output array and the slot of the whole-text suffix.
+    isa holds the members' ranks among the sorted synchronizing
+    suffixes, and runs the find_runs arrays of the set.  Returns the
+    output array and the slot of the whole-text suffix.
     """
     n = pt.n
     cap = 3 * tau - 1
     rank = np.zeros(len(s) + 1, dtype=np.int64)
-    rank[:-1] = order.suffix_index.isa
+    rank[:-1] = isa
     key, length, tie = _sort_keys(pt, tau, s, rank)
     # rows tie only inside periodic blocks, which are re-sorted below,
     # so the sort need not be stable
@@ -95,7 +97,7 @@ def _emit_blocks(pt, tau, s, order):
         rows = sa[slots]
         skey = key[rows]
         seg = np.concatenate([[0], np.cumsum(skey[1:] != skey[:-1])])
-        prev, j, e, _, typ = order.tprime.runs
+        prev, j, e, _, typ = runs
         r = np.searchsorted(j, rows + 1, side="right") - 1
         if np.any(r < 0) or np.any(e[r] - rows - 1 < cap):
             raise AssertionError("periodic block row outside every run")
@@ -135,16 +137,12 @@ def build_bwt(pt, tau=None, force_naive=False):
     ([2, 2, 1, 0, 0, 0], 4)
     """
     n = pt.n
-    if tau is None:
-        tau = default_tau(n, pt.sigma)
-    tau = int(tau)
-    if tau < 1:
-        raise ValueError("tau must be positive")
+    tau = resolve_tau(tau, n, pt.sigma)
     if force_naive or n < 3 * tau - 1 or 3 * tau * pt.bits_per_symbol > 62:
         return _naive_result(pt, tau)
     s = construct(pt, tau, mode="random", seed=0)
-    bwt, primary = _emit_blocks(pt, tau, s,
-                                sort_sync_suffixes(pt, s, with_lcp=False))
+    tp, reduced = sort_sync_suffixes(pt, s, with_lcp=False)
+    bwt, primary = _emit_blocks(pt, tau, s, reduced.isa, tp.runs)
     meta = {"n": n, "sigma": pt.sigma, "tau": tau,
             "primary_index": primary, "sync_size": len(s),
             "pipeline": "sync"}

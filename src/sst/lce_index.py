@@ -1,25 +1,29 @@
 """Constant-time longest common extension queries.
 
 The index stores the packed text, the sorted members of a synchronizing
-set, and a suffix-array index of the reduced string over the
-synchronizing positions.  The set is the randomized construction with
-seed 0: valid for every seed, fully vectorised, and the same on every
-run.  A query compares at most 3tau packed symbols directly, hops to
-the successors inside the synchronizing set, translates the remaining
-work to one LCE query in the reduced string, and finishes with another
-bounded packed comparison.  The successor of i is found by a binary
-search of the members, which a directory of 64-position buckets bounds
-to the at most 64 members in the bucket of i - 1.  Highly periodic
-stretches never contain synchronizing positions; the successor offsets
-alone determine the answer there.
+set, and, for the reduced string over the synchronizing positions, the
+rank of each suffix and a sparse table of range minima over its LCP
+array.  The set is the randomized construction with seed 0: valid for
+every seed, fully vectorised, and the same on every run.  A query
+compares at most 3tau packed symbols directly, hops to the successors
+inside the synchronizing set, translates the remaining work to one LCE
+query in the reduced string, the minimum of the LCP array between the
+two ranks, and finishes with another bounded packed comparison.  The
+successor of i is found by a binary search of the members, which a
+directory of 64-position buckets bounds to the at most 64 members in
+the bucket of i - 1.  Highly periodic stretches never contain
+synchronizing positions; the successor offsets alone determine the
+answer there.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
 from .packed_text import lcp_fragments, lcp_fragments_many
+from .suffix_core import _build_sparse_min, _range_min, _range_min_many
 from .sync_set import SyncSet, construct
 from .sync_sort import sort_sync_suffixes
 
@@ -68,16 +72,34 @@ def default_tau(n, sigma):
     return tau
 
 
+def resolve_tau(tau, n, sigma):
+    """default_tau(n, sigma) for None, else tau as a positive int."""
+    if tau is None:
+        return default_tau(n, sigma)
+    if (isinstance(tau, bool) or not isinstance(tau, (int, np.integer))
+            or tau < 1):
+        raise ValueError("tau must be a positive integer")
+    return int(tau)
+
+
+def _int_positions(i, j):
+    """i and j as ints: NumPy integers convert, while floats, bools and
+    strings raise ValueError."""
+    if isinstance(i, bool) or isinstance(j, bool):
+        raise ValueError("positions must be integers")
+    try:
+        return index(i), index(j)
+    except TypeError:
+        raise ValueError("positions must be integers") from None
+
+
 class LceIndex:
     """LCE queries over a fixed text."""
 
     def __init__(self, pt, tau=None):
         self.pt = pt
         n = pt.n
-        if tau is None:
-            tau = default_tau(n, pt.sigma)
-        if tau < 1:
-            raise ValueError("tau must be positive")
+        tau = resolve_tau(tau, n, pt.sigma)
         self.tau = tau
         # when 2tau > n the set is empty and the head compare answers
         # every query: its limit 3tau exceeds every common extension
@@ -85,8 +107,12 @@ class LceIndex:
             self.sync = SyncSet(tau, n, np.zeros(0, dtype=np.int64))
         else:
             self.sync = construct(pt, tau, mode="random", seed=0)
-        self._reduced = sort_sync_suffixes(pt, self.sync).suffix_index
-        self._reduced.prepare_lce()
+        reduced = sort_sync_suffixes(pt, self.sync)[1]
+        # _rank[t]: the 0-based rank of the reduced suffix of member t
+        self._rank = reduced.isa - 1
+        lcp = reduced.lcp
+        del reduced  # sa, unread by queries, goes before the table
+        self._rmq = _build_sparse_min(lcp)
         # _succ[r]: the member of rank r, the sentinel for r >= |S|
         sent = self.sync.sentinel
         self._succ = np.append(self.sync.positions, [sent, sent])
@@ -99,6 +125,8 @@ class LceIndex:
 
     def query(self, i, j):
         """LCE of the suffixes starting at 1-based positions i and j."""
+        if type(i) is not int or type(j) is not int:
+            i, j = _int_positions(i, j)
         pt = self.pt
         n = pt.n
         if not (1 <= i <= n and 1 <= j <= n):
@@ -125,7 +153,12 @@ class LceIndex:
         if ir == nprime or jr == nprime:
             ell = 0
         else:
-            ell = self._reduced.lce(ir + 1, jr + 1)
+            # ir != jr here: one successor would give di != dj
+            ra = self._rank.item(ir)
+            rb = self._rank.item(jr)
+            if ra > rb:
+                ra, rb = rb, ra
+            ell = _range_min(self._rmq, ra, rb)
         ai = ir + ell
         bi = jr + ell
         a = succ[ai]
@@ -163,9 +196,11 @@ class LceIndex:
     def _query_block(self, i, j):
         cap = 3 * self.tau
         out = lcp_fragments_many(self.pt, i, j, cap)
-        # i == j needs no case of its own: the hop reaches the sentinel
-        # on both sides and answers n - i + 1, like the head compare
         hop = np.flatnonzero(out == cap)
+        # i == j would reach the range minimum with equal ranks
+        same = i[hop] == j[hop]
+        out[hop[same]] = self.pt.n + 1 - i[hop[same]]
+        hop = hop[~same]
         out[hop] = self._hop_many(i[hop], j[hop])
         return out
 
@@ -185,7 +220,10 @@ class LceIndex:
         i, ir, jr = i[go], ir[go], jr[go]
         ell = np.zeros(len(go), dtype=np.int64)
         both = np.flatnonzero((ir < nprime) & (jr < nprime))
-        ell[both] = self._reduced.lce_many(ir[both] + 1, jr[both] + 1)
+        ra = self._rank[ir[both]]
+        rb = self._rank[jr[both]]
+        ell[both] = _range_min_many(self._rmq, np.minimum(ra, rb),
+                                    np.maximum(ra, rb))
         ai = ir + ell
         bi = jr + ell
         a = succ[ai]

@@ -42,13 +42,7 @@ class PackedText:
         """Symbol at 1-based position i."""
         if not 1 <= i <= self.n:
             raise IndexError("position %d out of range [1..%d]" % (i, self.n))
-        b = self.bits_per_symbol
-        pos = (i - 1) * b
-        w, off = pos >> 6, pos & 63
-        chunk = self._wlist[w] >> off
-        if off + b > WORD_BITS:
-            chunk |= self._wlist[w + 1] << (WORD_BITS - off)
-        return chunk & ((1 << b) - 1)
+        return int(self.symbols[i - 1])
 
     def to_list(self):
         return self.symbols[:self.n].tolist()

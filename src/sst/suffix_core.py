@@ -1,4 +1,4 @@
-"""Suffix arrays with LCP support for in-memory integer sequences.
+"""Suffix arrays and LCP arrays of in-memory integer sequences.
 
 Positions and ranks are 1-based to match the rest of the package.  No
 sentinel is appended: a suffix that is a proper prefix of another sorts
@@ -6,14 +6,14 @@ first, which the doubling comparison realizes by ranking absent symbols
 below every real rank.
 
 Prefix doubling (Manber and Myers, SIAM J. Comput. 1993) ranks the
-2^k-symbol prefixes of all suffixes in round k.  An index built with
-LCP support keeps those rank arrays until the LCP array is built from
-them by binary lifting: two distinct starts with equal round-k ranks
-begin with equal, complete 2^k-symbol blocks, so the common prefix of
-two suffixes is the sum of the block lengths that match, tried from the
-longest down.  The ranks are dropped once the LCP array exists.  An
-index built without LCP support keeps no ranks, and its LCP queries
-raise.
+2^k-symbol prefixes of all suffixes in round k.  With the LCP array
+requested, the constructor keeps those rank arrays until it has built
+the LCP array from them by binary lifting: two distinct starts with
+equal round-k ranks begin with equal, complete 2^k-symbol blocks, so
+the common prefix of two suffixes is the sum of the block lengths that
+match, tried from the longest down.  The sparse table of range minima
+over an LCP array answers the common prefix of any two suffixes, the
+minimum between their ranks.
 """
 
 import numpy as np
@@ -22,11 +22,9 @@ from .packed_text import dense_ranks, doubled_classes
 
 
 class SuffixArrayIndex:
-    """Suffix array and inverse.  With LCP support (with_lcp) the LCP
-    array and its sparse-table minimum are built on first use, or at
-    once by prepare_lce."""
+    """Suffix array, its inverse, and with with_lcp the LCP array."""
 
-    __slots__ = ("n", "sa", "isa", "_ranks", "_lcp", "_rmq")
+    __slots__ = ("n", "sa", "isa", "lcp")
 
     def __init__(self, seq, with_lcp=True):
         if isinstance(seq, str):
@@ -34,70 +32,22 @@ class SuffixArrayIndex:
         arr = np.asarray(seq, dtype=np.int64)
         n = arr.size
         self.n = n
-        # None: built without LCP support
-        self._ranks = [] if with_lcp else None
-        self._lcp = None
-        self._rmq = None
         narrow = next(t for t in (np.int16, np.int32, np.int64)
                       if n <= np.iinfo(t).max)
+        ranks = []
         rank = dense_ranks([arr])
         for nxt in doubled_classes(rank, 1):
             if with_lcp:
                 # -1 at index n stands for a block that runs past the end
-                self._ranks.append(np.full(n + 1, -1, dtype=narrow))
-                self._ranks[-1][:n] = rank
+                ranks.append(np.full(n + 1, -1, dtype=narrow))
+                ranks[-1][:n] = rank
             rank = nxt
         sa0 = np.empty(n, dtype=np.int64)
         sa0[rank] = np.arange(n)
         self.sa = sa0 + 1
         self.isa = rank + 1
-
-    @property
-    def lcp(self):
-        """lcp[r]: common prefix of the suffixes of ranks r+1 and r+2."""
-        if self._lcp is None:
-            if self._ranks is None:
-                raise ValueError("suffix array built without LCP support")
-            self._lcp = _lcp_by_lifting(self._ranks, self.sa - 1)
-            self._ranks = None
-        return self._lcp
-
-    def prepare_lce(self):
-        """Build the LCP array and its range-minimum table now."""
-        if self._rmq is None:
-            self._rmq = _build_sparse_min(self.lcp)
-
-    def lce(self, i, j):
-        """Longest common extension of the suffixes at 1-based i and j."""
-        n = self.n
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexError("suffix index out of range")
-        if i == j:
-            return n - i + 1
-        a = int(self.isa[i - 1]) - 1
-        b = int(self.isa[j - 1]) - 1
-        if a > b:
-            a, b = b, a
-        if self._rmq is None:
-            self.prepare_lce()
-        return _range_min(self._rmq, a, b)
-
-    def lce_many(self, i, j):
-        """lce over arrays of 1-based suffix indices, as an int64 array."""
-        n = self.n
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        if np.any((i < 1) | (i > n) | (j < 1) | (j > n)):
-            raise IndexError("suffix index out of range")
-        a = self.isa[i - 1] - 1
-        b = self.isa[j - 1] - 1
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        out = n - i + 1
-        apart = np.flatnonzero(lo != hi)
-        if self._rmq is None:
-            self.prepare_lce()
-        out[apart] = _range_min_many(self._rmq, lo[apart], hi[apart])
-        return out
+        # lcp[r]: common prefix of the suffixes of ranks r+1 and r+2
+        self.lcp = _lcp_by_lifting(ranks, sa0) if with_lcp else None
 
 
 def _lcp_by_lifting(ranks, sa0):
@@ -129,6 +79,7 @@ def _build_sparse_min(vals):
         j += 1
     return table
 
+
 def _range_min(table, a, b):
     """Minimum of the underlying array over [a..b-1], 0-based, a < b."""
     k = (b - a).bit_length() - 1
@@ -149,8 +100,8 @@ def _range_min_many(table, a, b):
 
 
 def build_suffix_array(seq, with_lcp=True):
-    """Index a sequence (or string) for suffix-order queries, and for
-    LCE queries unless with_lcp is False.
+    """Suffix array of a sequence (or string), with its LCP array unless
+    with_lcp is False.
 
     >>> build_suffix_array("banana").sa.tolist()
     [6, 4, 2, 1, 5, 3]

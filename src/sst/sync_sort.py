@@ -5,7 +5,8 @@ the fragment of length up to 3tau starting there, ordered by its
 symbols zero-padded past the text end and then by its length, plus a
 tie-breaking integer d that accounts for long highly periodic runs.
 Sorting the suffixes of the reduced string then sorts the original
-suffixes at the synchronizing positions.
+suffixes at the synchronizing positions, and the reduced string's LCP
+array gives their common extensions in members.
 """
 
 from dataclasses import dataclass
@@ -14,23 +15,16 @@ import numpy as np
 
 from .packed_text import (dense_ranks, pack_columns, short_periods,
                           window_keys, window_radices)
-from .suffix_core import SuffixArrayIndex, build_suffix_array
+from .suffix_core import build_suffix_array
 
 
 @dataclass
 class TPrimeString:
     """Reduced string, one symbol per member, and its find_runs arrays."""
 
-    tau: int
-    n: int
-    positions: np.ndarray
     symbols: np.ndarray
     d_values: np.ndarray
     runs: tuple
-
-    @property
-    def sentinel(self):
-        return self.n - 2 * self.tau + 2
 
     def __len__(self):
         return len(self.symbols)
@@ -90,30 +84,22 @@ def build_tprime(pt, s):
     d = np.zeros(m, dtype=np.int64)
     d[prev[after]] = (typ * (n - (e - j - 2 * tau + 2)))[after]
     if m == 0:
-        return TPrimeString(tau, n, sp, np.zeros(0, dtype=np.int64), d, runs)
+        return TPrimeString(np.zeros(0, dtype=np.int64), d, runs)
     width = 3 * tau
     fields = list(zip(window_keys(pt, width, sp),
                       window_radices(pt.sigma, width)))
     fields += [(np.minimum(width, n + 1 - sp), width + 1), (d + n, 2 * n + 1)]
     reduced = dense_ranks(pack_columns(fields, m))
-    return TPrimeString(tau, n, sp, reduced, d, runs)
-
-
-@dataclass
-class SortedSyncOrder:
-    """The reduced string and its suffix-array index: suffix_index.sa
-    lists member indices (1-based) in suffix order, suffix_index.isa
-    gives each member's rank."""
-
-    tprime: TPrimeString
-    suffix_index: SuffixArrayIndex
-
-    def __len__(self):
-        return len(self.tprime)
+    return TPrimeString(reduced, d, runs)
 
 
 def sort_sync_suffixes(pt, s, with_lcp=True):
-    """Sort the text suffixes starting at synchronizing positions; the
-    reduced string's index answers LCE queries unless with_lcp is False."""
+    """Sort the text suffixes starting at synchronizing positions.
+
+    Returns the reduced string and its SuffixArrayIndex, whose sa lists
+    member indices (1-based) in suffix order and whose isa gives each
+    member's rank; the index holds the LCP array unless with_lcp is
+    False.
+    """
     tp = build_tprime(pt, s)
-    return SortedSyncOrder(tp, build_suffix_array(tp.symbols, with_lcp))
+    return tp, build_suffix_array(tp.symbols, with_lcp)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,6 +197,16 @@ def test_meta_fields(rng):
     assert res.meta["sync_size"] > 0
     assert res.meta["sync_size"] == len(
         construct(pack(seq, 4), 3, mode="random", seed=0))
+
+
+def test_tau_must_be_a_positive_integer(rng):
+    pt = pack(random_text(rng, 200, 2), 2)
+    for tau in (2.7, 3.0, True, "3", 0, -1):
+        with pytest.raises(ValueError, match="tau must be a positive integer"):
+            build_bwt(pt, tau)
+    res = build_bwt(pt, np.int64(3))
+    assert res.meta["tau"] == 3 and type(res.meta["tau"]) is int
+    assert res.bwt.tolist() == build_bwt(pt, 3).bwt.tolist()
 
 
 def test_tiny_text_falls_back():

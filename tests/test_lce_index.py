@@ -80,6 +80,12 @@ def test_equal_positions(rng):
     idx = LceIndex(pack(seq, 2))
     for i in (1, 25, 50):
         assert idx.query(i, i) == 50 - i + 1
+    # a batch answers i == j before the hop, also where n - i + 1 > 3tau
+    for seq, tau in ((seq, None), ([0] * 40, 2), ([0, 1, 1] * 30, 1)):
+        n = len(seq)
+        idx = LceIndex(pack(seq, 2), tau=tau)
+        pos = np.arange(1, n + 1)
+        assert idx.query_many(pos, pos).tolist() == list(range(n, 0, -1))
 
 
 def test_direct_mode_tiny_text():
@@ -265,6 +271,28 @@ def test_query_many_rejects_non_integer_positions():
     assert idx.query_many(np.array([1], dtype=np.uint8),
                           np.array([3], dtype=np.int32)).tolist() == [
         idx.query(1, 3)]
+
+
+def test_query_rejects_non_integer_positions():
+    seq = [0, 1, 1, 0, 1, 0, 0, 1] * 25
+    idx = LceIndex(pack(seq, 2), tau=4)
+    for i, j in ((2.5, 2.5), (True, 5), (5, False), (np.float64(3.0), 7),
+                 ("1", 3), (np.True_, 2)):
+        with pytest.raises(ValueError):
+            idx.query(i, j)
+    for i, j in ((np.int64(3), 11), (np.uint8(9), np.int32(17)), (1, 9)):
+        assert idx.query(i, j) == naive_lce(seq, int(i), int(j))
+    with pytest.raises(IndexError):
+        idx.query(np.int64(0), 1)
+
+
+def test_tau_must_be_a_positive_integer():
+    pt = pack([0, 1, 1, 0, 1, 0, 0, 1] * 25, 2)
+    for tau in (2.5, 3.0, True, "3", 0, -2):
+        with pytest.raises(ValueError, match="tau must be a positive integer"):
+            LceIndex(pt, tau)
+    idx = LceIndex(pt, np.int64(4))
+    assert idx.tau == 4 and type(idx.tau) is int
 
 
 def test_successor_search_within_one_bucket(rng):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sst.packed_text import lcp_fragments_many, pack
-from sst.suffix_core import SuffixArrayIndex, build_suffix_array
+from sst.suffix_core import (SuffixArrayIndex, _build_sparse_min, _range_min,
+                             _range_min_many, build_suffix_array)
 from sst.reference_oracles import (doubling_suffix_array, naive_lce,
                                    naive_suffix_array)
 
@@ -53,17 +54,6 @@ def test_lcp_array_definition(rng):
                                        int(idx.sa[r + 1]))
 
 
-def test_lazy_lcp_matches_naive_lce(rng):
-    for sigma in (2, 4, 256):
-        seq = random_text(rng, 150, sigma)
-        idx = SuffixArrayIndex(seq)
-        assert idx._lcp is None and idx._rmq is None
-        for r in range(len(seq) - 1):
-            assert idx.lcp[r] == naive_lce(seq, int(idx.sa[r]),
-                                           int(idx.sa[r + 1]))
-        assert idx.lce(3, 77) == naive_lce(seq, 3, 77)
-
-
 def test_lcp_by_lifting_matches_brute_force(rng):
     texts = [[0], [1, 1], [0, 1], fibonacci_word(300), [0] * 257]
     for sigma in (2, 4, 256):
@@ -74,41 +64,38 @@ def test_lcp_by_lifting_matches_brute_force(rng):
         sa = idx.sa.tolist()
         want = [naive_lce(seq, a, b) for a, b in zip(sa, sa[1:])]
         assert idx.lcp.tolist() == want, seq
-        # the doubling ranks are released with the LCP array built
-        assert idx._ranks is None
+
+
+def _rank_pairs(n):
+    a, b = np.triu_indices(n, 1)
+    return a.astype(np.int64), b.astype(np.int64)
 
 
 def test_lce_many_matches_lce(rng):
+    # one vectorised range minimum per level agrees with the scalar one
     for seq in (random_text(rng, 90, 2), periodic_mosaic(rng, 90, 4), [3]):
-        idx = SuffixArrayIndex(seq)
-        n = len(seq)
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-        got = idx.lce_many([p[0] for p in pairs], [p[1] for p in pairs])
-        assert got.tolist() == [idx.lce(i, j) for i, j in pairs]
-    with pytest.raises(IndexError):
-        idx.lce_many([1], [2])
+        table = _build_sparse_min(SuffixArrayIndex(seq).lcp)
+        a, b = _rank_pairs(len(seq))
+        got = _range_min_many(table, a, b)
+        assert got.tolist() == [_range_min(table, x, y)
+                                for x, y in zip(a.tolist(), b.tolist())]
 
 
 def test_lce_all_pairs(rng):
+    # the common prefix of the suffixes of ranks a < b is the minimum
+    # of the LCP array over [a..b-1]
     for sigma in (2, 4):
-        seq = random_text(rng, 70, sigma)
-        idx = SuffixArrayIndex(seq)
-        for i in range(1, 71):
-            for j in range(1, 71):
-                assert idx.lce(i, j) == naive_lce(seq, i, j)
-
-
-def test_lce_identical_suffix():
-    idx = SuffixArrayIndex([0, 1, 0])
-    assert idx.lce(2, 2) == 2
-
-
-def test_lce_out_of_range():
-    idx = SuffixArrayIndex([0, 1])
-    with pytest.raises(IndexError):
-        idx.lce(0, 1)
-    with pytest.raises(IndexError):
-        idx.lce(1, 3)
+        for seq in (random_text(rng, 70, sigma),
+                    periodic_mosaic(rng, 70, sigma)):
+            idx = SuffixArrayIndex(seq)
+            table = _build_sparse_min(idx.lcp)
+            sa = idx.sa.tolist()
+            a, b = _rank_pairs(len(seq))
+            want = [naive_lce(seq, sa[x], sa[y])
+                    for x, y in zip(a.tolist(), b.tolist())]
+            assert _range_min_many(table, a, b).tolist() == want
+            assert [_range_min(table, x, y) for x, y in
+                    zip(a.tolist(), b.tolist())] == want
 
 
 def test_without_lcp_keeps_no_ranks_and_refuses_lcp(rng):
@@ -117,11 +104,7 @@ def test_without_lcp_keeps_no_ranks_and_refuses_lcp(rng):
     bare = build_suffix_array(seq, with_lcp=False)
     assert bare.sa.tolist() == full.sa.tolist()
     assert bare.isa.tolist() == full.isa.tolist()
-    assert bare._ranks is None and len(full._ranks) > 0
-    for call in (lambda: bare.lcp, lambda: bare.lce(1, 2),
-                 lambda: bare.lce_many([1], [2]), bare.prepare_lce):
-        with pytest.raises(ValueError, match="without LCP support"):
-            call()
+    assert bare.lcp is None and len(full.lcp) == len(seq) - 1
 
 
 def test_lcp_past_int16_ranks_on_repeats():
@@ -143,10 +126,6 @@ def test_lcp_past_int16_ranks_on_repeats():
     assert sorted(sa.tolist()) == list(range(1, n + 1))
     want = lcp_fragments_many(pack(seq, 4), sa[:-1], sa[1:], n)
     assert want.max() > 2000
-    # one narrow copy per round until the 2^k-prefixes are distinct,
-    # that is until 2^k exceeds the longest common prefix
-    assert len(idx._ranks) == int(want.max()).bit_length()
-    assert all(r.dtype == np.int32 for r in idx._ranks)
     assert np.array_equal(idx.lcp, want)
     # each adjacent pair is in order: past the common prefix the first
     # suffix has the smaller symbol, or -1 where it ended

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from sst.lce_index import LceIndex
 from sst.packed_text import lcp_fragments_many, pack
 from sst.suffix_core import (SuffixArrayIndex, _build_sparse_min, _range_min,
                              _range_min_many, build_suffix_array)
@@ -96,6 +97,14 @@ def test_lce_all_pairs(rng):
             assert _range_min_many(table, a, b).tolist() == want
             assert [_range_min(table, x, y) for x, y in
                     zip(a.tolist(), b.tolist())] == want
+
+
+def test_lce_identical_suffix():
+    # a suffix shares its whole length with itself, which no LCP entry
+    # holds; the index answers i == j without a range minimum
+    seq = [0, 1, 0]
+    idx = LceIndex(pack(seq, 2))
+    assert idx.query(2, 2) == 2 == naive_lce(seq, 2, 2)
 
 
 def test_without_lcp_keeps_no_ranks_and_refuses_lcp(rng):

@@ -13,7 +13,7 @@ variant covers values up to the padded array length.
 import numpy as np
 
 from .bwt_builder import build_bwt
-from .packed_text import pack, window_keys
+from .packed_text import _int_values, _low_bits, pack, window_keys
 
 
 class ReductionText:
@@ -35,13 +35,6 @@ def _next_pow2(m):
     return p
 
 
-def _int_values(a):
-    vals = np.asarray(a)
-    if vals.ndim != 1 or (vals.size and vals.dtype.kind not in "biu"):
-        raise ValueError("values must be a 1-D sequence of integers")
-    return vals.astype(np.int64)
-
-
 def count_inversions_bits(bits):
     """Number of pairs i < j with bits[i] = 1 and bits[j] = 0.
 
@@ -59,7 +52,7 @@ def count_inversions_bits(bits):
 
 def _padded(a, domain=None):
     """The values padded to m entries; the domain defaults to [0..m)."""
-    vals = _int_values(a)
+    vals = _int_values(a).astype(np.int64)
     m = _next_pow2(max(2, len(vals)))
     domain = m if domain is None else domain
     if vals.size and (vals.min() < 0 or vals.max() >= domain):
@@ -67,12 +60,6 @@ def _padded(a, domain=None):
     # appended maxima sit at the end and exceed nothing, so the
     # inversion count of the padded array stays unchanged
     return np.concatenate([vals, np.full(m - len(vals), domain - 1)]), m
-
-
-def _bit_columns(x, width):
-    """Bits of each entry of x, most significant first, one row per entry."""
-    shifts = np.arange(width - 1, -1, -1)
-    return ((x[:, None] >> shifts) & 1).astype(np.uint8)
 
 
 def _const(m, bit, width):
@@ -87,8 +74,8 @@ def build_reduction_small(a, k):
     logm = m.bit_length() - 1
     if k > logm:
         raise ValueError("width exceeds the index width")
-    index = _bit_columns(np.arange(m), logm)
-    rows = np.hstack([_bit_columns(vals, k)[:, ::-1], _const(m, 0, 1),
+    index = _low_bits(np.arange(m), logm)[:, ::-1]
+    rows = np.hstack([_low_bits(vals, k), _const(m, 0, 1),
                       _const(m, 1, k + 1),
                       np.dstack([np.zeros_like(index), index]).reshape(m, -1),
                       _const(m, 0, 1)])
@@ -101,9 +88,9 @@ def build_reduction_general(a):
     """Encode full-range values: rev(value) 01 1^w 0 index 0 1^w 0."""
     vals, m = _padded(a)
     logm = m.bit_length() - 1
-    rows = np.hstack([_bit_columns(vals, logm)[:, ::-1], _const(m, 0, 1),
+    rows = np.hstack([_low_bits(vals, logm), _const(m, 0, 1),
                       _const(m, 1, logm + 1), _const(m, 0, 1),
-                      _bit_columns(np.arange(m), logm), _const(m, 0, 1),
+                      _low_bits(np.arange(m), logm)[:, ::-1], _const(m, 0, 1),
                       _const(m, 1, logm), _const(m, 0, 1)])
     if rows.shape[1] != 4 * logm + 5:
         raise AssertionError("general encoding has a wrong length")

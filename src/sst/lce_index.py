@@ -24,7 +24,7 @@ import numpy as np
 
 from .packed_text import lcp_fragments, lcp_fragments_many
 from .suffix_core import _build_sparse_min, _range_min, _range_min_many
-from .sync_set import SyncSet, construct
+from .sync_set import SyncSet, check_tau, construct
 from .sync_sort import sort_sync_suffixes
 
 # pairs per numpy pass of query_many: a block's temporaries take about
@@ -74,12 +74,7 @@ def default_tau(n, sigma):
 
 def resolve_tau(tau, n, sigma):
     """default_tau(n, sigma) for None, else tau as a positive int."""
-    if tau is None:
-        return default_tau(n, sigma)
-    if (isinstance(tau, bool) or not isinstance(tau, (int, np.integer))
-            or tau < 1):
-        raise ValueError("tau must be a positive integer")
-    return int(tau)
+    return default_tau(n, sigma) if tau is None else check_tau(tau)
 
 
 def _int_positions(i, j):

@@ -3,11 +3,11 @@
 A text T[1..n] over [0..sigma) is stored with ceil(log2 sigma) bits per
 symbol, packed into 64-bit words.  The first symbol occupies the least
 significant bits of the first word.  All positions in the public API are
-1-based.  window_keys is the one encoder of substrings as keys: base-sigma
-integers whose most significant digit is the first symbol, zeros past the
-text end, split into int64 columns of at most 2**62, so comparing the
-keys of equal-length windows is the same as comparing the windows
-lexicographically.
+1-based.  pack and the inversion reduction share one bit encoder,
+_low_bits.  window_keys is the one encoder of substrings as keys:
+base-sigma integers, the first symbol most significant and zeros past
+the text end, in int64 columns of at most 2**62, so the keys of
+equal-length windows compare like the windows, lexicographically.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ class PackedText:
         # unpacked copy kept for vectorised helpers; uint8 covers byte texts
         self.symbols = symbols
         # plain ints are faster than numpy scalars in the query hot paths
-        self._wlist = [int(w) for w in words] + [0, 0]
+        self._wlist = words.tolist() + [0, 0]
 
     def __len__(self):
         return self.n
@@ -48,8 +48,28 @@ class PackedText:
         return self.symbols[:self.n].tolist()
 
 
+def _int_values(a):
+    """a as a 1-D integer array, bools and unsigned included."""
+    vals = np.asarray(a)
+    if vals.ndim != 1 or (vals.size and vals.dtype.kind not in "biu"):
+        raise ValueError("values must be a 1-D sequence of integers")
+    return vals
+
+
+def _low_bits(x, w):
+    """Bits 0..w-1 of each integer x >= 0, least significant first, as
+    one uint8 row per integer, read off its little-endian bytes."""
+    x = np.ascontiguousarray(x, dtype=x.dtype.newbyteorder("<"))
+    bits = np.unpackbits(x.view(np.uint8), bitorder="little")
+    return bits.reshape(len(x), -1)[:, :w]
+
+
 def pack(symbols, sigma):
     """Pack a symbol sequence into a PackedText.
+
+    symbols is a non-empty 1-D sequence of integers (bools and unsigned
+    too) in [0..sigma), 2 <= sigma <= 2**62; anything else raises
+    ValueError.  The unpacked copy is uint8 up to sigma = 256, else int64.
 
     >>> pt = pack([0, 1, 0, 0, 1], 2)
     >>> (pt.n, pt.bits_per_symbol, len(pt.words))
@@ -57,24 +77,20 @@ def pack(symbols, sigma):
     >>> [pt.char_at(i) for i in range(1, 6)]
     [0, 1, 0, 0, 1]
     """
-    if sigma < 2:
-        raise ValueError("sigma must be at least 2")
-    arr = np.asarray(symbols, dtype=np.int64)
+    if not 2 <= sigma <= 1 << 62:
+        raise ValueError("sigma must lie in [2..2**62]")
+    arr = _int_values(symbols)
     n = len(arr)
     if n == 0:
         raise ValueError("empty text")
     if arr.min() < 0 or arr.max() >= sigma:
         raise ValueError("symbol out of range [0..%d)" % sigma)
     bits = _bits_for(sigma)
-    # bit k of the stream is bit (k mod bits) of symbol k // bits
-    shifts = np.arange(bits, dtype=np.uint64)
-    bitmat = (arr.astype(np.uint64)[:, None] >> shifts[None, :]) & np.uint64(1)
-    stream = bitmat.reshape(-1).astype(np.uint8)
-    pad = (-len(stream)) % WORD_BITS
-    if pad:
-        stream = np.concatenate([stream, np.zeros(pad, dtype=np.uint8)])
-    words = np.packbits(stream, bitorder="little").view("<u8")
     store = arr.astype(np.uint8 if sigma <= 256 else np.int64)
+    # bit k of the stream is bit (k mod bits) of symbol k // bits
+    stream = np.packbits(_low_bits(store, bits), bitorder="little")
+    words = np.zeros(-(-n * bits // WORD_BITS), dtype="<u8")
+    words.view(np.uint8)[:len(stream)] = stream
     return PackedText(words, n, sigma, bits, store)
 
 
@@ -220,19 +236,19 @@ def window_radices(sigma, length):
 
 
 def _doubled_keys(sym, w, sigma):
-    """Keys of every w-symbol window of sym, by key_{a+b}(i) = key_a(i) *
-    sigma**b + key_b(i+a) over the lengths 1, 2, 4, ... that the binary
-    digits of w name: floor(log2 w) + popcount(w) passes."""
+    """Keys of every w-symbol window along sym's last axis, by key_{a+b}(i)
+    = key_a(i) * sigma**b + key_b(i+a) over the lengths 1, 2, 4, ... that
+    the binary digits of w name: floor(log2 w) + popcount(w) passes."""
     key, got, m = None, 0, 1
     part = sym.astype(np.int64)
     while True:
         if w & m:
             key = part if key is None else (
-                key[:-m] * sigma ** m + part[got:])
+                key[..., :-m] * sigma ** m + part[..., got:])
             got += m
         if 2 * m > w:
             return key
-        part = part[:-m] * sigma ** m + part[m:]
+        part = part[..., :-m] * sigma ** m + part[..., m:]
         m *= 2
 
 
@@ -244,8 +260,8 @@ def window_keys(pt, length, starts):
     read as 0.  Each column holds the next c symbols, c the most with
     sigma**c <= 2**62, so a window with length * bits <= 62 takes one
     column, and the columns compare lexicographically like the windows.
-    Keys come from doubling over the stretch the starts cover or, for
-    sparse starts, from merging each window's own symbols pairwise.
+    Keys come from one doubling over the stretch the starts cover or, for
+    sparse starts, from the same doubling over each window's own symbols.
 
     >>> pt = pack([1, 0, 2, 2], 3)
     >>> [c.tolist() for c in window_keys(pt, 2, 4)]
@@ -276,17 +292,9 @@ def window_keys(pt, length, starts):
         cols = [keys[o:o + span] if starts is None else keys[starts - lo + o]
                 for o in offsets]
     else:
-        # zeros in front, up to a power-of-two width, leave a key as it is
-        width = 1 << (w - 1).bit_length()
-        pos = (starts - 1)[:, None, None] + (offsets[:, None]
-                                             + np.arange(w - width, w))
-        keys = np.take(pt.symbols, pos, mode="clip").astype(np.int64)
-        keys[..., :width - w] = 0
-        keys[pos >= pt.n] = 0
-        m = 1
-        while m < width:
-            keys, m = keys[..., 0::2] * pt.sigma ** m + keys[..., 1::2], 2 * m
-        cols = list(keys[..., 0].T)
+        pos = (starts - 1)[:, None, None] + (offsets[:, None] + np.arange(w))
+        sym = np.where(pos < pt.n, np.take(pt.symbols, pos, mode="clip"), 0)
+        cols = list(_doubled_keys(sym, w, pt.sigma)[..., 0].T)
     rem = length - int(offsets[-1])
     if rem < w:
         cols[-1] = cols[-1] // pt.sigma ** (w - rem)

@@ -50,6 +50,14 @@ class PeriodicSets:
         return np.nonzero(self.b)[0] + 1
 
 
+def check_tau(tau):
+    """tau as an int, or ValueError unless it is a positive integer."""
+    if (isinstance(tau, bool) or not isinstance(tau, (int, np.integer))
+            or tau < 1):
+        raise ValueError("tau must be a positive integer")
+    return int(tau)
+
+
 def compute_q_and_b(pt, tau):
     """Q and B from one cumulative count of T[k] == T[k+p] per period p.
 
@@ -60,8 +68,7 @@ def compute_q_and_b(pt, tau):
     for B.
     """
     n = pt.n
-    if tau < 1:
-        raise ValueError("tau must be positive")
+    tau = check_tau(tau)
     nwin = max(n - tau + 1, 0)
     q = np.zeros(nwin, dtype=bool)
     if tau <= 2 or nwin == 0:
@@ -328,7 +335,8 @@ def construct_deterministic(pt, tau):
 
 
 def construct(pt, tau, mode="det", seed=0):
-    """The "det" or "random" synchronizing set."""
+    """The "det" or "random" synchronizing set of a positive integer tau."""
+    tau = check_tau(tau)
     if mode == "det":
         return construct_deterministic(pt, tau)
     if mode == "random":
@@ -356,10 +364,12 @@ def validate_sync_set(pt, tau, s):
     violation.  Its witness is (i, j) for a consistency violation: the
     first member and the first non-member with the lexicographically
     smallest offending 2tau-context.  It is (i,) for a density violation:
-    the leftmost offending window.
+    the leftmost offending window.  A tau that is not a positive integer
+    raises ValueError; one above n/2 fails the structure condition.
     """
     n = pt.n
-    if tau < 1 or 2 * tau > n:
+    tau = check_tau(tau)
+    if 2 * tau > n:
         return ValidationReport(
             False, "structure", None, "tau must satisfy 1 <= tau <= n/2")
     nmem = n - 2 * tau + 1

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ def test_pack_round_trip(rng):
         pt = pack(seq, sigma)
         assert pt.n == 97
         assert [pt.char_at(i) for i in range(1, 98)] == seq
+    # bools and unsigned arrays are integers too
+    assert pack(np.array([True, False]), 2).to_list() == [1, 0]
+    assert pack(np.array([7, 0], dtype=np.uint64), 8).to_list() == [7, 0]
 
 
 def test_pack_rejects_out_of_range():
@@ -27,6 +31,59 @@ def test_pack_rejects_out_of_range():
         pack([0, 3], 3)
     with pytest.raises(ValueError):
         pack([-1], 2)
+
+
+def test_pack_rejects_floats():
+    with pytest.raises(ValueError):
+        pack([0.9, 1.7, 0.2], 2)
+
+
+def test_pack_rejects_strings():
+    with pytest.raises(ValueError):
+        pack(["1", "0", "1"], 2)
+
+
+def test_pack_rejects_two_dimensional_input():
+    with pytest.raises(ValueError):
+        pack([[0, 1], [1, 0]], 2)
+
+
+def test_pack_rejects_sigma_past_the_key_column():
+    # 2**62 symbols still fit one window key column; one more does not
+    with pytest.raises(ValueError):
+        pack([0, 1], (1 << 62) + 1)
+    assert pack([0, (1 << 62) - 1], 1 << 62).to_list() == [0, (1 << 62) - 1]
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 5, 200, 256, 257, 1 << 20, 1 << 62])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_pack_words_match_bitwise_reference(sigma, n):
+    rng = random.Random(sigma * 1000 + n)
+    seq = [rng.randrange(sigma) for _ in range(n)]
+    pt = pack(seq, sigma)
+    bits = max(1, (sigma - 1).bit_length())
+    want = [0] * -(-n * bits // 64)
+    for k in range(n * bits):
+        if seq[k // bits] >> (k % bits) & 1:
+            want[k // 64] |= 1 << (k % 64)
+    assert pt.words.tolist() == want
+    assert pt._wlist == pt.words.tolist() + [0, 0]
+    assert pt.symbols.dtype == (np.uint8 if sigma <= 256 else np.int64)
+
+
+@pytest.mark.parametrize("sigma", [2, 256])
+def test_pack_peak_memory(sigma):
+    # the encoder reads each byte's bits once: about 10 bytes a symbol,
+    # against 24 and 89 for a shift matrix of uint64 rows
+    n = 1 << 20
+    arr = np.random.default_rng(sigma).integers(0, sigma, n).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        pack(arr, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * n, peak / n
 
 
 def test_char_at_bounds():
@@ -221,12 +278,13 @@ def _horner_columns(seq, sigma, i, length):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([2, 3, 4, 16, 256]), st.integers(1, 200),
-       st.integers(0, 2 ** 32), st.integers(1, 200), st.data())
+@given(st.sampled_from([2, 3, 4, 16, 256, 1 << 20, 1 << 62]),
+       st.integers(1, 200), st.integers(0, 2 ** 32), st.integers(1, 200),
+       st.data())
 def test_window_keys_matches_horner(sigma, n, seed, length, data):
-    # lengths past three columns for every sigma (62, 39, 31, 15 and 7
-    # symbols per column), counted starts and gathered starts, windows
-    # that run past the text end included
+    # lengths past three columns for every sigma (62, 39, 31, 15, 7, 3
+    # and 1 symbols per column), counted starts and gathered starts,
+    # windows that run past the text end included
     seq = periodic_mosaic(random.Random(seed), n, sigma)
     pt = pack(seq, sigma)
     count = data.draw(st.integers(0, n))
@@ -241,6 +299,23 @@ def test_window_keys_matches_horner(sigma, n, seed, length, data):
                 + (0,) * max(0, i - 1 + length - n) for i in at]
         assert dense_ranks(got).tolist() == [sorted(set(wins)).index(x)
                                              for x in wins]
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 256, 1 << 20, 1 << 62])
+def test_window_keys_sparse_starts_match_counted(sigma):
+    # four windows of at most 130 symbols over a span of 2984 starts take
+    # the per-window branch; the first window runs past the text end
+    seq = periodic_mosaic(random.Random(sigma), 3000, sigma)
+    pt = pack(seq, sigma)
+    starts = np.array([2990, 7, 1500, 2201])
+    for length in (1, 5, 62, 130):
+        dense = window_keys(pt, length, 3000)
+        got = window_keys(pt, length, starts)
+        assert len(got) == len(dense)
+        for col, full in zip(got, dense):
+            assert col.tolist() == full[starts - 1].tolist()
+        assert [tuple(int(c[k]) for c in got) for k in range(4)] == [
+            _horner_columns(seq, sigma, int(i), length) for i in starts]
 
 
 def _tuple_ranks(seq, length, count):

@@ -275,6 +275,38 @@ def test_construct_dispatch(rng):
         construct(pt, 3, mode="bogus")
 
 
+def test_construct_rejects_non_integer_tau(rng):
+    pt = pack(random_text(rng, 100, 2), 2)
+    for mode in ("det", "random"):
+        for tau in (True, 2.5, 3.0, "3"):
+            with pytest.raises(ValueError,
+                               match="tau must be a positive integer"):
+                construct(pt, tau, mode=mode)
+        s = construct(pt, np.int64(3), mode=mode)
+        assert s.tau == 3 and type(s.tau) is int
+
+
+def test_q_and_b_and_validation_reject_non_integer_tau(rng):
+    pt = pack(random_text(rng, 100, 2), 2)
+    s = construct(pt, 3)
+    for tau in (True, 2.5):
+        with pytest.raises(ValueError, match="tau must be a positive integer"):
+            compute_q_and_b(pt, tau)
+        with pytest.raises(ValueError, match="tau must be a positive integer"):
+            validate_sync_set(pt, tau, s)
+    # the range rules stay: a tau above n/2 is a structure violation
+    assert validate_sync_set(pt, 51, s).condition == "structure"
+
+
+def test_nonpositive_tau_reads_alike_in_every_mode(rng):
+    pt = pack(random_text(rng, 100, 2), 2)
+    for mode in ("det", "random"):
+        for tau in (0, -3):
+            with pytest.raises(ValueError,
+                               match="tau must be a positive integer"):
+                construct(pt, tau, mode=mode)
+
+
 def test_window_min_matches_sliding_window():
     gen = np.random.default_rng(70)
     top = np.iinfo(np.int64).max

@@ -3,9 +3,13 @@
 The pipeline compares whole suffixes only at synchronizing positions: it
 sorts those suffixes through the reduced string.  The set is the
 randomized construction with seed 0, which is valid for every seed and
-the same on every run; meta["sync_size"] is its size.  Every other
-suffix T[i..] sorts first by its window T[i..i+3tau-1), cut at the text
-end, then by the window length.  By consistency, positions that share a
+the same on every run; meta["sync_size"] is its size.  One encoding
+of the text, window_keys(pt, 3tau, n), the base-sigma key of every
+window T[i..i+3tau), serves all three stages: the set's tau-window keys
+are its first tau digits, the reduced string ranks the members' rows,
+and the emission sort's windows below are the keys divided by sigma in
+place.  Every other suffix T[i..] sorts first by its window
+T[i..i+3tau-1), cut at the text end, then by the window length.  By consistency, positions that share a
 full prefix T[i..succ(i)+2tau) with succ(i) less than tau ahead share
 the offset succ(i) - i, so the rank of succ(i) among the sorted
 synchronizing suffixes breaks their ties.  One sort of all n positions
@@ -46,17 +50,19 @@ class BwtResult:
         return len(self.bwt)
 
 
-def _sort_keys(pt, tau, s, rank):
+def _sort_keys(pt, tau, s, rank, keys):
     """Per-position sort keys: window, window length, successor rank.
 
     The window is T[i..i+3tau-1) cut at the text end, as a base-sigma key
-    zero-padded to 3tau-1 digits.  The rank is that of succ(i) among the
-    sorted synchronizing suffixes when succ(i) lies less than tau ahead,
-    and 0 otherwise; rank holds the members' ranks and a trailing 0.
+    zero-padded to 3tau-1 digits: keys, the 3tau-window keys of every
+    start, divided by sigma in place.  The rank is that of succ(i) among
+    the sorted synchronizing suffixes when succ(i) lies less than tau
+    ahead, and 0 otherwise; rank holds the members' ranks and a trailing
+    0.
     """
     n = pt.n
     cap = 3 * tau - 1
-    key = window_keys(pt, cap, n)[0]
+    key = np.floor_divide(keys, pt.sigma, out=keys)
     pos = np.arange(1, n + 1, dtype=np.int64)
     # k[i - 1] indexes succ(i) among the members, len(s) past the last
     k = np.full(n, len(s), dtype=np.int64)
@@ -70,18 +76,19 @@ def _sort_keys(pt, tau, s, rank):
     return key, np.minimum(cap, n + 1 - pos), tie
 
 
-def _emit_blocks(pt, tau, s, isa, runs):
+def _emit_blocks(pt, tau, s, isa, runs, keys):
     """Sort all suffixes by their sort keys and emit the transform.
 
     isa holds the members' ranks among the sorted synchronizing
-    suffixes, and runs the find_runs arrays of the set.  Returns the
-    output array and the slot of the whole-text suffix.
+    suffixes, runs the find_runs arrays of the set, and keys the
+    3tau-window keys of every start, which the sort keys overwrite.
+    Returns the output array and the slot of the whole-text suffix.
     """
     n = pt.n
     cap = 3 * tau - 1
     rank = np.zeros(len(s) + 1, dtype=np.int64)
     rank[:-1] = isa
-    key, length, tie = _sort_keys(pt, tau, s, rank)
+    key, length, tie = _sort_keys(pt, tau, s, rank, keys)
     # rows tie only inside periodic blocks, which are re-sorted below,
     # so the sort need not be stable
     sa = sort_rows(pack_columns(
@@ -140,9 +147,11 @@ def build_bwt(pt, tau=None, force_naive=False):
     tau = resolve_tau(tau, n, pt.sigma)
     if force_naive or n < 3 * tau - 1 or 3 * tau * pt.bits_per_symbol > 62:
         return _naive_result(pt, tau)
-    s = construct(pt, tau, mode="random", seed=0)
-    tp, reduced = sort_sync_suffixes(pt, s, with_lcp=False)
-    bwt, primary = _emit_blocks(pt, tau, s, reduced.isa, tp.runs)
+    keys = window_keys(pt, 3 * tau, n)[0]
+    s = construct(pt, tau, mode="random", seed=0, keys=keys)
+    tp, reduced = sort_sync_suffixes(pt, s, with_lcp=False,
+                                     keys=keys[s.positions - 1])
+    bwt, primary = _emit_blocks(pt, tau, s, reduced.isa, tp.runs, keys)
     meta = {"n": n, "sigma": pt.sigma, "tau": tau,
             "primary_index": primary, "sync_size": len(s),
             "pipeline": "sync"}

@@ -22,7 +22,7 @@ from operator import index
 
 import numpy as np
 
-from .packed_text import lcp_fragments, lcp_fragments_many
+from .packed_text import lcp_fragments, lcp_fragments_many, window_keys
 from .suffix_core import _build_sparse_min, _range_min, _range_min_many
 from .sync_set import SyncSet, check_tau, construct
 from .sync_sort import sort_sync_suffixes
@@ -100,13 +100,22 @@ class LceIndex:
         # every query: its limit 3tau exceeds every common extension
         if 2 * tau > n:
             self.sync = SyncSet(tau, n, np.zeros(0, dtype=np.int64))
+            keys = None
+        elif 3 * tau * pt.bits_per_symbol <= 62:
+            # one encoding serves the set's tau-window keys and the
+            # reduced string's symbols; the n keys go before its sort
+            keys = window_keys(pt, 3 * tau, n)[0]
+            self.sync = construct(pt, tau, mode="random", seed=0, keys=keys)
+            keys = keys[self.sync.positions - 1]
         else:
             self.sync = construct(pt, tau, mode="random", seed=0)
-        reduced = sort_sync_suffixes(pt, self.sync)[1]
+            keys = None
+        reduced = sort_sync_suffixes(pt, self.sync, keys=keys)[1]
         # _rank[t]: the 0-based rank of the reduced suffix of member t
         self._rank = reduced.isa - 1
         lcp = reduced.lcp
-        del reduced  # sa, unread by queries, goes before the table
+        # sa, unread by queries, and the member keys go before the table
+        del reduced, keys
         self._rmq = _build_sparse_min(lcp)
         # _succ[r]: the member of rank r, the sentinel for r >= |S|
         sent = self.sync.sentinel

@@ -18,7 +18,7 @@ minimum between their ranks.
 
 import numpy as np
 
-from .packed_text import dense_ranks, doubled_classes
+from .packed_text import _int_values, dense_ranks, doubled_classes
 
 
 class SuffixArrayIndex:
@@ -29,7 +29,10 @@ class SuffixArrayIndex:
     def __init__(self, seq, with_lcp=True):
         if isinstance(seq, str):
             seq = [ord(c) for c in seq]
-        arr = np.asarray(seq, dtype=np.int64)
+        arr = _int_values(seq)
+        if arr.dtype == np.uint64 and arr.size and arr.max() >= 1 << 63:
+            raise ValueError("values must lie below 2**63")
+        arr = arr.astype(np.int64, copy=False)
         n = arr.size
         self.n = n
         narrow = next(t for t in (np.int16, np.int32, np.int64)
@@ -102,6 +105,10 @@ def _range_min_many(table, a, b):
 def build_suffix_array(seq, with_lcp=True):
     """Suffix array of a sequence (or string), with its LCP array unless
     with_lcp is False.
+
+    seq is a str, whose characters map through ord, or a 1-D sequence of
+    integers (negative, bool and unsigned too) below 2**63; anything
+    else raises ValueError.
 
     >>> build_suffix_array("banana").sa.tolist()
     [6, 4, 2, 1, 5, 3]

@@ -202,10 +202,11 @@ def _bijection(keys, w, seed):
 
     Each of three rounds xors a constant, multiplies by an odd number
     mod 2**w and xors in the value shifted right.  Every step inverts
-    mod 2**w, so distinct keys get distinct values.
+    mod 2**w, so distinct keys get distinct values.  A uint64 array is
+    mapped in place; any other is copied first.
     """
     mask = np.uint64((1 << w) - 1)
-    x = keys.astype(np.uint64)
+    x = keys.astype(np.uint64, copy=False)
     for c, a, shift in _bijection_rounds(w, seed):
         x ^= c
         x *= a
@@ -214,24 +215,30 @@ def _bijection(keys, w, seed):
     return x.view(np.int64)
 
 
-def construct_randomized(pt, tau, seed=0):
+def construct_randomized(pt, tau, seed=0, keys=None):
     """Random ids, boundary windows drawing the smallest ones.
 
     A window's id is its key under a seeded bijection of [0, 2**w), plus
     2**w outside B.  The key is the window's base-sigma key, w = tau*bits,
     while that fits a word with the flag above it; past that it is the
     dense rank of the window from build_partition, w its bit length.
+    keys, if given, are the one-column keys window_keys(pt, 3tau, n)[0],
+    and the base-sigma keys are their first tau digits.
     """
     if not 1 <= tau <= pt.n:
         raise ValueError("tau out of range")
     psets = compute_q_and_b(pt, tau)
     nwin = len(psets.b)
-    if tau * pt.bits_per_symbol <= 61:
-        key, w = window_keys(pt, tau, nwin)[0], tau * pt.bits_per_symbol
+    w = tau * pt.bits_per_symbol
+    if keys is not None:
+        key = keys[:nwin] // pt.sigma ** (2 * tau)
+    elif w <= 61:
+        key = window_keys(pt, tau, nwin)[0]
     else:
         key = build_partition(pt, tau)
         w = max(1, int(key.max()).bit_length())
-    ids = _bijection(key, w, seed)
+    # key is this function's own array, so the bijection maps it in place
+    ids = _bijection(key.view(np.uint64), w, seed)
     np.add(ids, 1 << w, out=ids, where=~psets.b)
     return construct_from_ids(pt, tau, ids, psets.q)
 
@@ -334,13 +341,18 @@ def construct_deterministic(pt, tau):
     return construct_from_ids(pt, tau, ids[class_of], psets.q)
 
 
-def construct(pt, tau, mode="det", seed=0):
-    """The "det" or "random" synchronizing set of a positive integer tau."""
+def construct(pt, tau, mode="det", seed=0, keys=None):
+    """The "det" or "random" synchronizing set of a positive integer tau.
+
+    keys, if given, are window_keys(pt, 3 * tau, n)[0], which a caller
+    that needs them anyway passes so that the random mode reads its
+    window keys from them; they require 3tau * bits <= 62.
+    """
     tau = check_tau(tau)
     if mode == "det":
         return construct_deterministic(pt, tau)
     if mode == "random":
-        return construct_randomized(pt, tau, seed=seed)
+        return construct_randomized(pt, tau, seed=seed, keys=keys)
     raise ValueError("unknown construction mode %r" % mode)
 
 

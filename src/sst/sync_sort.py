@@ -6,7 +6,11 @@ symbols zero-padded past the text end and then by its length, plus a
 tie-breaking integer d that accounts for long highly periodic runs.
 Sorting the suffixes of the reduced string then sorts the original
 suffixes at the synchronizing positions, and the reduced string's LCP
-array gives their common extensions in members.
+array gives their common extensions in members.  The fragment keys are
+the members' rows of window_keys(pt, 3tau, n), which build_bwt and
+LceIndex encode once per build and pass in where the 3tau symbols fit
+one key column; without them build_tprime encodes the members' windows
+itself.
 """
 
 from dataclasses import dataclass
@@ -65,7 +69,7 @@ def find_runs(pt, tau, positions):
     return row - 1, j, e, p, np.where(body & (after > before), 1, -1)
 
 
-def build_tprime(pt, s):
+def build_tprime(pt, s, keys=None):
     """Encode the reduced string for a synchronizing set.
 
     Members rank by the fragment T[i..i+3tau) zero-padded past the text
@@ -73,7 +77,9 @@ def build_tprime(pt, s):
     run of find_runs starts right after the member, g the distance to
     the next member or the sentinel, and 0 otherwise.  Equal triples
     share a symbol, found by one sort of the fields packed into as few
-    int64 columns as they need.
+    int64 columns as they need.  The fragment keys are keys, the
+    members' rows of window_keys(pt, 3tau, n)[0], when the caller has
+    them, and come from window_keys otherwise.
     """
     n, tau = pt.n, s.tau
     sp = np.asarray(s.positions, dtype=np.int64)
@@ -86,20 +92,21 @@ def build_tprime(pt, s):
     if m == 0:
         return TPrimeString(np.zeros(0, dtype=np.int64), d, runs)
     width = 3 * tau
-    fields = list(zip(window_keys(pt, width, sp),
-                      window_radices(pt.sigma, width)))
+    cols = window_keys(pt, width, sp) if keys is None else [keys]
+    fields = list(zip(cols, window_radices(pt.sigma, width)))
     fields += [(np.minimum(width, n + 1 - sp), width + 1), (d + n, 2 * n + 1)]
     reduced = dense_ranks(pack_columns(fields, m))
     return TPrimeString(reduced, d, runs)
 
 
-def sort_sync_suffixes(pt, s, with_lcp=True):
+def sort_sync_suffixes(pt, s, with_lcp=True, keys=None):
     """Sort the text suffixes starting at synchronizing positions.
 
     Returns the reduced string and its SuffixArrayIndex, whose sa lists
     member indices (1-based) in suffix order and whose isa gives each
     member's rank; the index holds the LCP array unless with_lcp is
-    False.
+    False.  keys, if given, are the members' one-column 3tau-window
+    keys, which build_tprime then reads instead of encoding its own.
     """
-    tp = build_tprime(pt, s)
+    tp = build_tprime(pt, s, keys)
     return tp, build_suffix_array(tp.symbols, with_lcp)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sst import packed_text
 from sst.bwt_builder import build_bwt, invert_bwt, read_bwt, write_bwt
 from sst.packed_text import pack
 from sst.sync_set import construct
@@ -265,3 +266,20 @@ def test_bwt_property(seq):
     want_bwt, want_primary = naive_bwt(seq)
     assert list(res.bwt) == want_bwt
     assert res.primary_index == want_primary
+
+
+def test_sync_path_encodes_the_windows_once(monkeypatch, rng):
+    # the 3tau-window keys give the set's tau windows, the reduced
+    # string's symbols and the emission windows
+    calls = []
+    doubled = packed_text._doubled_keys
+    monkeypatch.setattr(packed_text, "_doubled_keys",
+                        lambda *a: calls.append(1) or doubled(*a))
+    for sigma in (2, 4, 256):
+        seq = random_text(rng, 3000, sigma)
+        pt = pack(seq, sigma)
+        del calls[:]
+        res = build_bwt(pt)
+        assert res.meta["pipeline"] == "sync"
+        assert len(calls) == 1, sigma
+        assert (res.bwt.tolist(), res.primary_index) == naive_bwt(seq)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sst import packed_text
 from sst.bwt_builder import build_bwt
 from sst.lce_index import LceIndex, default_tau
 from sst.packed_text import pack
@@ -320,3 +321,19 @@ def test_successor_search_within_one_bucket(rng):
             assert pos == list(range(1, sent)) and first[2] - first[1] == 64
         if sigma == 4:
             assert pos[-1] + 128 < sent
+
+
+def test_default_tau_encodes_the_windows_once(monkeypatch, rng):
+    # the 3tau-window keys give the set's tau windows and the reduced
+    # string's symbols
+    calls = []
+    doubled = packed_text._doubled_keys
+    monkeypatch.setattr(packed_text, "_doubled_keys",
+                        lambda *a: calls.append(1) or doubled(*a))
+    for sigma in (2, 4, 256):
+        seq = random_text(rng, 3000, sigma)
+        del calls[:]
+        idx = LceIndex(pack(seq, sigma))
+        assert len(calls) == 1, sigma
+        for i, j in [(1, 2), (5, 900), (1500, 2999), (77, 78)]:
+            assert idx.query(i, j) == naive_lce(seq, i, j)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from sst.packed_text import (_column_symbols, dense_ranks, doubled_classes,
                              lcp_fragments, lcp_fragments_many, pack,
-                             pack_columns, short_periods, window_keys,
-                             window_radices)
+                             pack_columns, short_periods, sort_rows,
+                             window_keys, window_radices)
 from sst.reference_oracles import naive_lce, naive_period
 
 from conftest import periodic_mosaic, random_text
@@ -372,3 +372,62 @@ def test_doubled_classes_bounded_from_one_key_column(rng, sigma):
                         for r in [cls] + rounds]
             assert not any(distinct[:-1]), (kind, length)
             assert len(rounds) == len(lengths) or distinct[-1], (kind, length)
+
+
+def _check_sorted(cols, order):
+    # order is a permutation of the rows that sorts them, and the dense
+    # ranks number the distinct rows in that order
+    m = len(cols[0])
+    rows = list(zip(*[c.tolist() for c in cols]))
+    assert sorted(order.tolist()) == list(range(m))
+    assert [rows[r] for r in order.tolist()] == sorted(rows)
+    want = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)[1]
+    assert dense_ranks(cols).tolist() == want.reshape(-1).tolist()
+
+
+def _value_sort_side(monkeypatch, cols):
+    """sort_rows' order of cols, and whether it sorted by value (no
+    np.argsort call)."""
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort",
+                        lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    order = sort_rows(cols)
+    monkeypatch.undo()
+    return order, not calls
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 64, 65, 1000])
+def test_sort_rows_value_sort_bit_bound(monkeypatch, m):
+    # keys of exactly 63 - bit_length(m - 1) bits sort by value; one bit
+    # more, and the column takes np.argsort
+    rng = np.random.default_rng(m)
+    for width, by_value in ((63 - (m - 1).bit_length(), True),
+                            (64 - (m - 1).bit_length(), False)):
+        if width > 63:
+            continue
+        top = np.int64((1 << width) - 1)
+        col = rng.integers(0, 1 << (width - 1), size=m, dtype=np.int64)
+        col[::3] += top - (1 << (width - 1)) + 1
+        col[rng.integers(0, m)] = top
+        cols = [col]
+        order, side = _value_sort_side(monkeypatch, cols)
+        assert side == by_value, (m, width)
+        _check_sorted(cols, order)
+
+
+def test_sort_rows_negative_empty_single_and_ties(monkeypatch):
+    rng = np.random.default_rng(5)
+    neg = rng.integers(-50, 50, size=300)
+    order, side = _value_sort_side(monkeypatch, [neg])
+    assert not side
+    _check_sorted([neg], order)
+    for col in (np.zeros(0, dtype=np.int64), np.array([9]),
+                np.array([0]), rng.integers(0, 3, size=2000),
+                np.full(777, 12345, dtype=np.int64)):
+        order, side = _value_sort_side(monkeypatch, [col])
+        assert side == (len(col) > 0)
+        _check_sorted([col], order)
+    # several columns keep the lexsort
+    cols = [rng.integers(0, 4, size=500), rng.integers(-3, 3, size=500)]
+    _check_sorted(cols, sort_rows(cols))

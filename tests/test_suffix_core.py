@@ -140,3 +140,34 @@ def test_lcp_past_int16_ranks_on_repeats():
     # suffix has the smaller symbol, or -1 where it ended
     arr = np.array(seq + [-1])
     assert np.all(arr[sa[:-1] - 1 + want] < arr[sa[1:] - 1 + want])
+
+
+def test_negative_values_sort_like_the_oracle():
+    seq = [-3, 5, -3, 2]
+    assert build_suffix_array(seq).sa.tolist() == [3, 1, 4, 2]
+    assert naive_suffix_array(seq) == [3, 1, 4, 2]
+
+
+def test_rejects_float_values():
+    # truncated to [0, 0, 0], these sorted as [3, 2, 1]; the values sort
+    # as [2, 1, 3]
+    with pytest.raises(ValueError, match="1-D sequence of integers"):
+        build_suffix_array([0.5, 0.2, 0.7])
+
+
+def test_rejects_digit_strings():
+    with pytest.raises(ValueError, match="1-D sequence of integers"):
+        build_suffix_array(["1", "0"])
+
+
+def test_rejects_two_dimensional_input():
+    with pytest.raises(ValueError, match="1-D sequence of integers"):
+        build_suffix_array([[0, 1], [1, 0]])
+
+
+def test_rejects_uint64_past_int64():
+    # 2**63 would wrap to the smallest int64 and sort first
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        build_suffix_array(np.array([1 << 63, 1], dtype=np.uint64))
+    ok = np.array([(1 << 63) - 1, 1], dtype=np.uint64)
+    assert build_suffix_array(ok).sa.tolist() == [2, 1]

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from sst.packed_text import pack
+from sst.packed_text import pack, window_keys
 from sst.sync_set import (SyncSet, _bijection, _bijection_rounds, _scores,
                           _window_min, build_partition, compute_q_and_b,
                           construct, construct_deterministic,
@@ -369,8 +369,14 @@ def test_random_sets_valid_up_to_the_word_limit(rng, sigma):
     for kind, seq in _texts(rng, n, sigma).items():
         pt = pack(seq, sigma)
         for tau in sorted(taus):
-            s = construct_randomized(pt, tau, seed=rng.randrange(100))
+            seed = rng.randrange(100)
+            s = construct_randomized(pt, tau, seed=seed)
             assert validate_sync_set(pt, tau, s).ok, (kind, tau)
+            if 3 * tau * bits <= 62:
+                # the tau-window keys as the 3tau-window keys' first digits
+                keys = window_keys(pt, 3 * tau, n)[0]
+                got = construct_randomized(pt, tau, seed=seed, keys=keys)
+                assert np.array_equal(got.positions, s.positions), (kind, tau)
 
 
 def test_random_sets_depend_on_the_seed(rng):

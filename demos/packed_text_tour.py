@@ -12,21 +12,18 @@ print("text   ", text)
 print("n=%d sigma=%d bits_per_symbol=%d words=%d"
       % (pt.n, pt.sigma, pt.bits_per_symbol, len(pt.words)))
 
-# window_keys gives base-sigma keys that order like the windows themselves
-(keys,) = window_keys(pt, 5, [1, 2, 4])
-for i, key in zip((1, 2, 4), keys.tolist()):
-    print("key of T[%d..%d) = %d  (%s)" % (i, i + 5, key, text[i - 1:i + 4]))
+# window_keys gives the base-sigma keys of the windows at starts 1..k,
+# built by key doubling in floor(log2 length) + popcount(length) passes;
+# the keys order like the windows, and a window that runs past n reads
+# zeros there
+keys = window_keys(pt, 5, pt.n)
+for i in (1, 2, 4):
+    print("key of T[%d..%d) = %d  (%s)"
+          % (i, i + 5, keys[i - 1], text[i - 1:i + 4]))
 assert keys[0] < keys[1]  # "abaab" < "baaba"
-
-# a count k asks for the windows at 1..k, built by key doubling in
-# floor(log2 length) + popcount(length) passes; a window that runs past
-# n reads zeros there
-(keys,) = window_keys(pt, 3, pt.n - 2)
+keys = window_keys(pt, 3, pt.n - 2)
 order = np.argsort(keys, kind="stable") + 1
 print("3-windows sorted:", [text[i - 1:i + 2] for i in order[:5]], "...")
-
-# a window wider than one 62-bit column comes as several columns
-print("columns of a 100-symbol window:", len(window_keys(pt, 100, [1])))
 
 # fragment LCP compares word-sized chunks, so long matches are cheap
 hit = lcp_fragments(pt, 1, 4, cap=8)

@@ -30,7 +30,7 @@ packed pipeline.
 import numpy as np
 
 from .lce_index import resolve_tau
-from .packed_text import pack_columns, sort_rows, window_keys, window_radices
+from .packed_text import pack_columns, sort_rows, window_keys
 from .suffix_core import SuffixArrayIndex
 from .sync_set import construct
 from .sync_sort import sort_sync_suffixes
@@ -92,7 +92,7 @@ def _emit_blocks(pt, tau, s, isa, runs, keys):
     # rows tie only inside periodic blocks, which are re-sorted below,
     # so the sort need not be stable
     sa = sort_rows(pack_columns(
-        [(key, window_radices(pt.sigma, cap)[0]), (length, cap + 1),
+        [(key, pt.sigma ** cap), (length, cap + 1),
          (tie, len(s) + 1)], n))
 
     # far from every member, a full window is highly periodic (density);
@@ -147,7 +147,7 @@ def build_bwt(pt, tau=None, force_naive=False):
     tau = resolve_tau(tau, n, pt.sigma)
     if force_naive or n < 3 * tau - 1 or 3 * tau * pt.bits_per_symbol > 62:
         return _naive_result(pt, tau)
-    keys = window_keys(pt, 3 * tau, n)[0]
+    keys = window_keys(pt, 3 * tau, n)
     s = construct(pt, tau, mode="random", seed=0, keys=keys)
     tp, reduced = sort_sync_suffixes(pt, s, with_lcp=False,
                                      keys=keys[s.positions - 1])
@@ -166,15 +166,13 @@ def invert_bwt(res):
     p = int(res.primary_index)
     if not 1 <= p <= n:
         raise ValueError("primary index out of range")
-    counts = np.bincount(bwt)
-    csum = np.concatenate([[0], np.cumsum(counts)])
     order = np.argsort(bwt, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     lf = rank + 1
     # entries above the primary slot with its symbol shift one rank down
     lf[(np.arange(n) < p - 1) & (bwt == bwt[p - 1])] += 1
-    lf[p - 1] = int(csum[bwt[p - 1]]) + 1
+    lf[p - 1] = int(np.count_nonzero(bwt < bwt[p - 1])) + 1
     out = np.zeros(n, dtype=np.int64)
     lf_l = lf.tolist()
     bwt_l = bwt.tolist()

@@ -208,8 +208,11 @@ def cmd_inversions(args):
     if args.variant == "naive":
         count = oracles.fenwick_inversions(a)
     else:
+        # the count depends only on the order of the values, so the
+        # reductions read their dense ranks, which --k then bounds
+        ranks = np.unique(a, return_inverse=True)[1]
         count = count_inversions_via_bwt(
-            a, variant=args.variant, k=args.k,
+            ranks, variant=args.variant, k=args.k,
             force_naive_bwt=args.naive_bwt)
     print(count)
     return 0

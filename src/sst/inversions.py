@@ -122,7 +122,7 @@ def _slice_blocks(rt, depth, run, force_naive):
         raise ValueError("pattern keys limited to 62 bits")
     bwt = np.asarray(build_bwt(pt, force_naive=force_naive).bwt,
                      dtype=np.uint8)
-    keys = window_keys(pt, L, n)[0] * (L + 1) + np.minimum(
+    keys = window_keys(pt, L, n) * (L + 1) + np.minimum(
         L, np.arange(n, 0, -1))
     keys.sort()
     d = np.repeat(np.arange(depth), 1 << np.arange(depth))

@@ -104,7 +104,7 @@ class LceIndex:
         elif 3 * tau * pt.bits_per_symbol <= 62:
             # one encoding serves the set's tau-window keys and the
             # reduced string's symbols; the n keys go before its sort
-            keys = window_keys(pt, 3 * tau, n)[0]
+            keys = window_keys(pt, 3 * tau, n)
             self.sync = construct(pt, tau, mode="random", seed=0, keys=keys)
             keys = keys[self.sync.positions - 1]
         else:

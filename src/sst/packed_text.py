@@ -5,9 +5,11 @@ symbol, packed into 64-bit words.  The first symbol occupies the least
 significant bits of the first word.  All positions in the public API are
 1-based.  pack and the inversion reduction share one bit encoder,
 _low_bits.  window_keys is the one encoder of substrings as keys:
-base-sigma integers, the first symbol most significant and zeros past
-the text end, in int64 columns of at most 2**62, so the keys of
-equal-length windows compare like the windows, lexicographically.
+base-sigma integers of the windows at starts 1..count, the first
+symbol most significant and zeros past the text end, one int64 key
+column of at most 2**62, so the keys of equal-length windows compare
+like the windows, lexicographically.  A caller that needs a wider
+fragment joins consecutive windows of one column each.
 """
 
 import numpy as np
@@ -69,7 +71,8 @@ def pack(symbols, sigma):
 
     symbols is a non-empty 1-D sequence of integers (bools and unsigned
     too) in [0..sigma), 2 <= sigma <= 2**62; anything else raises
-    ValueError.  The unpacked copy is uint8 up to sigma = 256, else int64.
+    ValueError.  The unpacked copy is the narrowest of uint8, uint16 and
+    uint32 that holds sigma - 1, else int64.
 
     >>> pt = pack([0, 1, 0, 0, 1], 2)
     >>> (pt.n, pt.bits_per_symbol, len(pt.words))
@@ -86,7 +89,9 @@ def pack(symbols, sigma):
     if arr.min() < 0 or arr.max() >= sigma:
         raise ValueError("symbol out of range [0..%d)" % sigma)
     bits = _bits_for(sigma)
-    store = arr.astype(np.uint8 if sigma <= 256 else np.int64)
+    store = arr.astype(np.uint8 if sigma <= 1 << 8 else
+                       np.uint16 if sigma <= 1 << 16 else
+                       np.uint32 if sigma <= 1 << 32 else np.int64)
     # bit k of the stream is bit (k mod bits) of symbol k // bits
     stream = np.packbits(_low_bits(store, bits), bitorder="little")
     words = np.zeros(-(-n * bits // WORD_BITS), dtype="<u8")
@@ -229,76 +234,44 @@ def _column_symbols(sigma):
                 if sigma ** (c + 1) > 1 << 62)
 
 
-def window_radices(sigma, length):
-    """Radix of each column of window_keys(pt, length, starts)."""
-    c = _column_symbols(sigma)
-    return [sigma ** min(c, length - k) for k in range(0, length, c)]
-
-
 def _doubled_keys(sym, w, sigma):
-    """Keys of every w-symbol window along sym's last axis, by key_{a+b}(i)
-    = key_a(i) * sigma**b + key_b(i+a) over the lengths 1, 2, 4, ... that
+    """Keys of every w-symbol window of sym, by key_{a+b}(i) =
+    key_a(i) * sigma**b + key_b(i+a) over the lengths 1, 2, 4, ... that
     the binary digits of w name: floor(log2 w) + popcount(w) passes."""
     key, got, m = None, 0, 1
     part = sym.astype(np.int64)
     while True:
         if w & m:
-            key = part if key is None else (
-                key[..., :-m] * sigma ** m + part[..., got:])
+            key = part if key is None else key[:-m] * sigma ** m + part[got:]
             got += m
         if 2 * m > w:
             return key
-        part = part[..., :-m] * sigma ** m + part[..., m:]
+        part = part[:-m] * sigma ** m + part[m:]
         m *= 2
 
 
-def window_keys(pt, length, starts):
-    """Base-sigma keys of the windows T[i..i+length), as int64 columns.
+def window_keys(pt, length, count):
+    """Base-sigma keys of the windows T[i..i+length) at the starts
+    1..count, as one int64 array built by one key doubling.
 
-    starts is a count k, meaning the starts 1..k, or an array of 1-based
-    starts.  The first symbol is the most significant and symbols past n
-    read as 0.  Each column holds the next c symbols, c the most with
-    sigma**c <= 2**62, so a window with length * bits <= 62 takes one
-    column, and the columns compare lexicographically like the windows.
-    Keys come from one doubling over the stretch the starts cover or, for
-    sparse starts, from the same doubling over each window's own symbols.
+    The first symbol is the most significant and symbols past n read
+    as 0, so equal-length keys compare like the windows.  length lies
+    in 1..c, c the most symbols with sigma**c <= 2**62, one key
+    column's worth; anything else raises ValueError.
 
     >>> pt = pack([1, 0, 2, 2], 3)
-    >>> [c.tolist() for c in window_keys(pt, 2, 4)]
-    [[3, 2, 8, 6]]
-    >>> [c.tolist() for c in window_keys(pt, 40, [2, 4])]
-    [[1200757082375992968, 2701703435345984178], [0, 0]]
+    >>> window_keys(pt, 2, 4).tolist()
+    [3, 2, 8, 6]
     """
-    if length < 1:
-        raise ValueError("windows must hold at least one symbol")
     c = _column_symbols(pt.sigma)
-    w = min(c, length)
-    offsets = np.arange(0, length, c)
-    if np.ndim(starts) == 0:
-        lo, span, starts = 1, int(starts), None
-    else:
-        starts = np.asarray(starts, dtype=np.int64)
-        lo = int(starts.min()) if starts.size else 1
-        span = int(starts.max()) - lo + 1 if starts.size else 0
-        if lo < 1:
-            raise IndexError("window start before position 1")
-    if span <= 0:
-        return [np.zeros(0, dtype=np.int64) for _ in offsets]
-    if starts is None or span < len(starts) * length:
-        sym = np.zeros(span + int(offsets[-1]) + w - 1, dtype=pt.symbols.dtype)
-        text = pt.symbols[lo - 1:lo - 1 + len(sym)]
-        sym[:len(text)] = text
-        keys = _doubled_keys(sym, w, pt.sigma)
-        cols = [keys[o:o + span] if starts is None else keys[starts - lo + o]
-                for o in offsets]
-    else:
-        pos = (starts - 1)[:, None, None] + (offsets[:, None] + np.arange(w))
-        sym = np.where(pos < pt.n, np.take(pt.symbols, pos, mode="clip"), 0)
-        cols = list(_doubled_keys(sym, w, pt.sigma)[..., 0].T)
-    rem = length - int(offsets[-1])
-    if rem < w:
-        cols[-1] = cols[-1] // pt.sigma ** (w - rem)
-    return cols
+    if not 1 <= length <= c:
+        raise ValueError("window length must lie in [1..%d]" % c)
+    if count <= 0:
+        return np.zeros(0, dtype=np.int64)
+    sym = np.zeros(count + length - 1, dtype=pt.symbols.dtype)
+    text = pt.symbols[:len(sym)]
+    sym[:len(text)] = text
+    return _doubled_keys(sym, length, pt.sigma)
 
 
 def pack_columns(fields, count):
@@ -308,7 +281,7 @@ def pack_columns(fields, count):
     0 <= values < radix.  Consecutive fields share a column while the
     product of their radices stays at most 2**62, so the columns compare
     lexicographically exactly like the field tuples.  A window key
-    column enters as one field, with its radix from window_radices.
+    of w symbols enters as one field of radix sigma**w.
 
     >>> [c.tolist() for c in pack_columns([([1, 0], 2), ([2, 1], 3)], 2)]
     [[5, 1]]
@@ -332,7 +305,11 @@ def _sort(cols):
     keys (else None).  The value sort is one in-place np.sort of
     key << b | row, b = bit_length(m - 1), 3-4x faster than np.argsort
     of the keys: the low b bits give the order, the high bits the keys.
+    cols must be a list or a tuple: a bare array would read as columns
+    of one row each.
     """
+    if not isinstance(cols, (list, tuple)):
+        raise ValueError("cols must be a list or a tuple of columns")
     if len(cols) > 1:
         return np.lexsort(cols[::-1]), None
     col = cols[0]

@@ -107,7 +107,7 @@ def _fragment_classes(pt, length, count):
     up to `length`, and the classes at 1..count are renumbered densely.
     """
     got = min(length, _column_symbols(pt.sigma))
-    cls = dense_ranks(window_keys(pt, got, count + length - got))
+    cls = dense_ranks([window_keys(pt, got, count + length - got)])
     for cls in doubled_classes(cls, got, length):
         pass
     return np.cumsum(np.bincount(cls[:count]) > 0)[cls[:count]] - 1
@@ -222,7 +222,7 @@ def construct_randomized(pt, tau, seed=0, keys=None):
     2**w outside B.  The key is the window's base-sigma key, w = tau*bits,
     while that fits a word with the flag above it; past that it is the
     dense rank of the window from build_partition, w its bit length.
-    keys, if given, are the one-column keys window_keys(pt, 3tau, n)[0],
+    keys, if given, are the one-column keys window_keys(pt, 3tau, n),
     and the base-sigma keys are their first tau digits.
     """
     if not 1 <= tau <= pt.n:
@@ -233,7 +233,7 @@ def construct_randomized(pt, tau, seed=0, keys=None):
     if keys is not None:
         key = keys[:nwin] // pt.sigma ** (2 * tau)
     elif w <= 61:
-        key = window_keys(pt, tau, nwin)[0]
+        key = window_keys(pt, tau, nwin)
     else:
         key = build_partition(pt, tau)
         w = max(1, int(key.max()).bit_length())
@@ -344,7 +344,7 @@ def construct_deterministic(pt, tau):
 def construct(pt, tau, mode="det", seed=0, keys=None):
     """The "det" or "random" synchronizing set of a positive integer tau.
 
-    keys, if given, are window_keys(pt, 3 * tau, n)[0], which a caller
+    keys, if given, are window_keys(pt, 3 * tau, n), which a caller
     that needs them anyway passes so that the random mode reads its
     window keys from them; they require 3tau * bits <= 62.
     """

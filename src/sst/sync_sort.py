@@ -9,16 +9,16 @@ suffixes at the synchronizing positions, and the reduced string's LCP
 array gives their common extensions in members.  The fragment keys are
 the members' rows of window_keys(pt, 3tau, n), which build_bwt and
 LceIndex encode once per build and pass in where the 3tau symbols fit
-one key column; without them build_tprime encodes the members' windows
-itself.
+one key column; without them build_tprime reads each fragment as
+consecutive windows of one key column each.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .packed_text import (dense_ranks, pack_columns, short_periods,
-                          window_keys, window_radices)
+from .packed_text import (_column_symbols, dense_ranks, pack_columns,
+                          short_periods, window_keys)
 from .suffix_core import build_suffix_array
 
 
@@ -78,8 +78,12 @@ def build_tprime(pt, s, keys=None):
     the next member or the sentinel, and 0 otherwise.  Equal triples
     share a symbol, found by one sort of the fields packed into as few
     int64 columns as they need.  The fragment keys are keys, the
-    members' rows of window_keys(pt, 3tau, n)[0], when the caller has
-    them, and come from window_keys otherwise.
+    members' rows of window_keys(pt, 3tau, n), when the caller has them.
+    Otherwise each fragment is read as the windows of w = min(3tau, c)
+    symbols at offsets 0, w, 2w, ..., c one key column's symbols, from
+    one window_keys array, the last window cut to its first 3tau mod w
+    symbols; each window is one field of radix sigma**w, the cut one of
+    radix sigma**(3tau mod w).
     """
     n, tau = pt.n, s.tau
     sp = np.asarray(s.positions, dtype=np.int64)
@@ -91,9 +95,17 @@ def build_tprime(pt, s, keys=None):
     d[prev[after]] = (typ * (n - (e - j - 2 * tau + 2)))[after]
     if m == 0:
         return TPrimeString(np.zeros(0, dtype=np.int64), d, runs)
-    width = 3 * tau
-    cols = window_keys(pt, width, sp) if keys is None else [keys]
-    fields = list(zip(cols, window_radices(pt.sigma, width)))
+    width, sigma = 3 * tau, pt.sigma
+    if keys is None:
+        w = min(width, _column_symbols(sigma))
+        text_keys = window_keys(pt, w, int(sp[-1]) + width)
+        fields = [(text_keys[sp - 1 + o], sigma ** w)
+                  for o in range(0, width, w)]
+        cut = width % w
+        if cut:
+            fields[-1] = (fields[-1][0] // sigma ** (w - cut), sigma ** cut)
+    else:
+        fields = [(keys, sigma ** width)]
     fields += [(np.minimum(width, n + 1 - sp), width + 1), (d + n, 2 * n + 1)]
     reduced = dense_ranks(pack_columns(fields, m))
     return TPrimeString(reduced, d, runs)

@@ -283,3 +283,16 @@ def test_sync_path_encodes_the_windows_once(monkeypatch, rng):
         assert res.meta["pipeline"] == "sync"
         assert len(calls) == 1, sigma
         assert (res.bwt.tolist(), res.primary_index) == naive_bwt(seq)
+
+
+@pytest.mark.parametrize("sigma", [1 << 33, 1 << 41])
+def test_round_trip_huge_alphabet(sigma):
+    # the inversion counts the symbols below one, with no table over
+    # the alphabet
+    res = build_bwt(pack([5, 2 ** 32, 3, 2 ** 32, 0], sigma))
+    assert invert_bwt(res).tolist() == [5, 2 ** 32, 3, 2 ** 32, 0]
+    rng = random.Random(sigma)
+    seq = [rng.choice([0, 1, 7, sigma // 2, sigma - 1]) if rng.random() < 0.5
+           else rng.randrange(sigma) for _ in range(300)]
+    res = build_bwt(pack(seq, sigma))
+    assert invert_bwt(res).tolist() == seq

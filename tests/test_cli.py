@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import numpy as np
 import pytest
@@ -408,3 +409,21 @@ def test_determinism(tmp_path, capsys):
              "--mode", "random", "--seed", "9", "--output", str(sset))
         outs.append(sset.read_bytes())
     assert outs[0] == outs[1]
+
+
+
+def test_inversions_ordinary_values(tmp_path, capsys):
+    # the reductions read the values' dense ranks, so values far past
+    # the list length count like any others, under every variant
+    rng = random.Random(3)
+    big = " ".join(str(rng.randrange(10 ** 12)) for _ in range(300))
+    arr = tmp_path / "a.txt"
+    for text, want in (("10 3 7", "2"), (big, None)):
+        arr.write_text(text + "\n")
+        outs = set()
+        for variant in ("general", "small", "naive"):
+            status, out, _ = _run(capsys, "inversions", "--input", str(arr),
+                                  "--variant", variant)
+            assert status == 0, variant
+            outs.add(out.strip())
+        assert len(outs) == 1 and want in (None, *outs), outs

@@ -374,7 +374,7 @@ def test_random_sets_valid_up_to_the_word_limit(rng, sigma):
             assert validate_sync_set(pt, tau, s).ok, (kind, tau)
             if 3 * tau * bits <= 62:
                 # the tau-window keys as the 3tau-window keys' first digits
-                keys = window_keys(pt, 3 * tau, n)[0]
+                keys = window_keys(pt, 3 * tau, n)
                 got = construct_randomized(pt, tau, seed=seed, keys=keys)
                 assert np.array_equal(got.positions, s.positions), (kind, tau)
 

@@ -132,8 +132,12 @@ def _zero_padded_twin(rng, n, sigma, tau):
 
 def test_tprime_matches_big_int_encoding(rng):
     # 6tau*bits > 62 in every case, too wide for one padded integer; the
-    # packed fields need one column or two, depending on sigma, tau and n
-    for sigma, tau in ((4, 8), (2, 11), (2, 16), (2, 25), (256, 3)):
+    # packed fields need one column or two, depending on sigma, tau and n.
+    # At sigma = 3, tau = 14 and sigma = 100, tau = 4 the 3tau symbols
+    # outrun one column (42 against 39, 12 against 9), sigma**c is no
+    # power of two, and the last window is cut
+    for sigma, tau in ((4, 8), (2, 11), (2, 16), (2, 25), (256, 3), (3, 14),
+                       (100, 4)):
         n = rng.randrange(8 * tau, 600)
         for seq in (random_text(rng, n, sigma), periodic_mosaic(rng, n, sigma),
                     _zero_padded_twin(rng, n, sigma, tau)):

@@ -287,8 +287,8 @@ def test_sync_path_encodes_the_windows_once(monkeypatch, rng):
 
 @pytest.mark.parametrize("sigma", [1 << 33, 1 << 41])
 def test_round_trip_huge_alphabet(sigma):
-    # the inversion counts the symbols below one, with no table over
-    # the alphabet
+    # invert_bwt counts the symbols below the primary slot's symbol
+    # instead of building a table as large as the alphabet
     res = build_bwt(pack([5, 2 ** 32, 3, 2 ** 32, 0], sigma))
     assert invert_bwt(res).tolist() == [5, 2 ** 32, 3, 2 ** 32, 0]
     rng = random.Random(sigma)

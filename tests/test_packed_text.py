@@ -298,13 +298,11 @@ def test_window_keys_matches_horner(sigma, n, seed, data):
     assert got.dtype == np.int64
     assert got.tolist() == [_horner_key(seq, sigma, i, length)
                             for i in range(1, count + 1)]
-    if count:
-        # the keys rank like the zero-padded windows
-        padded = seq + [0] * (length + 5)
-        wins = [tuple(padded[i - 1:i - 1 + length])
-                for i in range(1, count + 1)]
-        assert dense_ranks([got]).tolist() == [sorted(set(wins)).index(x)
-                                               for x in wins]
+    # the keys rank like the zero-padded windows
+    padded = seq + [0] * (length + 5)
+    wins = [tuple(padded[i - 1:i - 1 + length]) for i in range(1, count + 1)]
+    assert dense_ranks([got]).tolist() == [sorted(set(wins)).index(x)
+                                           for x in wins]
 
 
 def _tuple_ranks(seq, length, count):

@@ -17,7 +17,7 @@ a = [2, 0, 3, 1]
 print("array", a)
 
 rt = build_reduction_small(a, k=2)
-bits = [rt.bits.char_at(i) for i in range(1, min(rt.bits.n, 28) + 1)]
+bits = rt.bits.to_list()[:28]
 print("encoding: m=%d k=%d, %d bits, first entry block %s..."
       % (rt.m, rt.k, rt.bits.n, "".join(map(str, bits[:14]))))
 

@@ -65,9 +65,8 @@ def _sort_keys(pt, tau, s, rank, keys):
     key = np.floor_divide(keys, pt.sigma, out=keys)
     pos = np.arange(1, n + 1, dtype=np.int64)
     # k[i - 1] indexes succ(i) among the members, len(s) past the last
-    k = np.full(n, len(s), dtype=np.int64)
-    k[s.positions - 1] = np.arange(len(s))
-    k = np.minimum.accumulate(k[::-1])[::-1]
+    k = np.repeat(np.arange(len(s) + 1),
+                  np.diff(s.positions, prepend=0, append=n))
     # past the last member the successor reads as n + tau, never near
     succ = np.empty(len(s) + 1, dtype=np.int64)
     succ[:-1] = s.positions

@@ -40,12 +40,6 @@ class PackedText:
     def __len__(self):
         return self.n
 
-    def char_at(self, i):
-        """Symbol at 1-based position i."""
-        if not 1 <= i <= self.n:
-            raise IndexError("position %d out of range [1..%d]" % (i, self.n))
-        return int(self.symbols[i - 1])
-
     def to_list(self):
         return self.symbols[:self.n].tolist()
 
@@ -77,7 +71,7 @@ def pack(symbols, sigma):
     >>> pt = pack([0, 1, 0, 0, 1], 2)
     >>> (pt.n, pt.bits_per_symbol, len(pt.words))
     (5, 1, 1)
-    >>> [pt.char_at(i) for i in range(1, 6)]
+    >>> pt.to_list()
     [0, 1, 0, 0, 1]
     """
     if not 2 <= sigma <= 1 << 62:

@@ -59,13 +59,15 @@ def check_tau(tau):
 
 
 def compute_q_and_b(pt, tau):
-    """Q and B from one cumulative count of T[k] == T[k+p] per period p.
+    """Q and B from one sliding AND of T[k] == T[k+p] per period p.
 
-    A window of length L has period at most p exactly when all of its
-    L - p equalities T[k] == T[k+p] hold, so for each p <= tau/3 a
-    difference of prefix counts tests every window start at once: the
-    length-tau windows for Q, the length-(tau-1) windows at i and i+1
-    for B.
+    A window of length L has period p exactly when all of its L - p
+    equalities T[k] == T[k+p] hold, and a period p has every multiple
+    below L as a period too, so the periods p in (tau/6, tau/3] cover
+    all those up to tau/3.  For each such p, _window_min over the
+    equalities marks the length-(tau-1) windows of period p, which B
+    reads at i and i+1; one more equality extends them to the
+    length-tau windows of Q.
     """
     n = pt.n
     tau = check_tau(tau)
@@ -75,12 +77,11 @@ def compute_q_and_b(pt, tau):
         return PeriodicSets(tau, n, q, q.copy())
     s = pt.symbols
     short = np.zeros(nwin + 1, dtype=bool)
-    csum = np.zeros(n, dtype=np.int32)
-    for p in range(1, tau // 3 + 1):
-        np.cumsum(s[p:] == s[:-p], out=csum[1:n - p + 1])
-        q |= csum[tau - p:tau - p + nwin] - csum[:nwin] == tau - p
-        short |= csum[tau - 1 - p:tau - p + nwin] - csum[:nwin + 1] \
-            == tau - 1 - p
+    for p in range(tau // 6 + 1, tau // 3 + 1):
+        eq = s[p:] == s[:-p]
+        run = _window_min(eq, tau - 1 - p)
+        short |= run
+        q |= run[:nwin] & eq[tau - 1 - p:]
     b = (short[:-1] | short[1:]) & ~q
     return PeriodicSets(tau, n, q, b)
 
@@ -88,14 +89,9 @@ def compute_q_and_b(pt, tau):
 def r_mask(psets):
     """Density targets: i in [1..n-3tau+2] with [i..i+2tau) inside Q."""
     tau, n = psets.tau, psets.n
-    nr = max(n - 3 * tau + 2, 0)
-    if nr == 0:
+    if n - 3 * tau + 2 <= 0:
         return np.zeros(0, dtype=bool)
-    qi = psets.q.astype(np.int32)
-    csum = np.zeros(len(qi) + 1, dtype=np.int64)
-    np.cumsum(qi, out=csum[1:])
-    width = 2 * tau
-    return (csum[width:width + nr] - csum[:nr]) == width
+    return _window_min(psets.q, 2 * tau)
 
 
 def _fragment_classes(pt, length, count):
@@ -142,8 +138,10 @@ class SyncSet:
 
 
 def _window_min(a, width):
-    """Minimum of every `width` consecutive values of a, by doubling:
-    floor(log2 width) passes of np.minimum, then one overlapping pair."""
+    """Minimum of every `width` consecutive values of a, 1 <= width <=
+    len(a), by doubling: floor(log2 width) passes of np.minimum, then one
+    overlapping pair.  On a boolean mask it is a sliding AND: is every
+    entry of the window true.  a itself is never written."""
     m, span = a, 1
     while 2 * span <= width:
         # m[i] becomes the minimum of a[i..i+2*span); the first pass
@@ -409,11 +407,7 @@ def validate_sync_set(pt, tau, s):
     want_empty = r_mask(psets)
     nr = len(want_empty)
     if nr:
-        mi = member.astype(np.int32)
-        csum = np.zeros(nmem + 1, dtype=np.int64)
-        np.cumsum(mi, out=csum[1:])
-        have = csum[np.minimum(np.arange(tau, tau + nr), nmem)] - csum[:nr]
-        empty = have == 0
+        empty = _window_min(~member, tau)
         bad = np.nonzero(empty != want_empty)[0]
         if len(bad):
             i = int(bad[0]) + 1

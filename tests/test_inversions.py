@@ -15,7 +15,7 @@ from conftest import full_profile
 
 
 def _bits(rt):
-    return [rt.bits.char_at(i) for i in range(1, rt.bits.n + 1)]
+    return rt.bits.to_list()
 
 
 def _padded(a, domain):

@@ -20,7 +20,7 @@ def test_pack_round_trip(rng):
         seq = random_text(rng, 97, sigma)
         pt = pack(seq, sigma)
         assert pt.n == 97
-        assert [pt.char_at(i) for i in range(1, 98)] == seq
+        assert pt.to_list() == seq
     # bools and unsigned arrays are integers too
     assert pack(np.array([True, False]), 2).to_list() == [1, 0]
     assert pack(np.array([7, 0], dtype=np.uint64), 8).to_list() == [7, 0]
@@ -91,14 +91,6 @@ def test_pack_peak_memory(sigma):
     finally:
         tracemalloc.stop()
     assert peak <= bound * n, peak / n
-
-
-def test_char_at_bounds():
-    pt = pack([1, 0], 2)
-    with pytest.raises(IndexError):
-        pt.char_at(0)
-    with pytest.raises(IndexError):
-        pt.char_at(3)
 
 
 def test_extract_matches_digits(rng):

@@ -9,12 +9,13 @@ from sst.sync_set import (SyncSet, _bijection, _bijection_rounds, _scores,
                           _window_min, build_partition, compute_q_and_b,
                           construct, construct_deterministic,
                           construct_from_ids, construct_randomized,
-                          load_sync_set, save_sync_set, validate_sync_set)
+                          load_sync_set, r_mask, save_sync_set,
+                          validate_sync_set)
 from sst.reference_oracles import (naive_b_positions, naive_det_positions,
-                                   naive_q_positions)
+                                   naive_q_positions, naive_sync_positions_r)
 
-from conftest import (all_binary_texts, full_profile, large_tampered_sets,
-                      periodic_mosaic, random_text)
+from conftest import (all_binary_texts, fibonacci_word, full_profile,
+                      large_tampered_sets, periodic_mosaic, random_text)
 
 
 def _modes(pt, tau, seeds=(0, 1)):
@@ -92,22 +93,46 @@ def test_q_and_b_match_oracles(rng):
         assert list(psets.b_positions) == naive_b_positions(seq, tau)
 
 
+def _periodic_texts(rng, sigmas, mosaics):
+    """(sigma, text) pairs: mosaics of short repeated blocks, then one
+    unary and one Fibonacci text, for each alphabet size."""
+    for sigma in sigmas:
+        for _ in range(mosaics):
+            yield sigma, periodic_mosaic(rng, rng.randrange(30, 250), sigma)
+        yield sigma, [sigma - 1] * rng.randrange(30, 250)
+        yield sigma, fibonacci_word(rng.randrange(30, 250))
+
+
 def test_q_and_b_match_oracles_on_mosaics(rng):
-    # runs of period 1-4 make Q and B non-empty, unlike random texts
+    # runs of period 1-4 make Q and B non-empty, unlike random texts;
+    # at tau = 3 each window of Q is one equality
     nonempty = 0
-    for sigma in (2, 4, 16):
-        for _ in range(20):
-            n = rng.randrange(30, 250)
-            seq = periodic_mosaic(rng, n, sigma)
-            pt = pack(seq, sigma)
-            tau = rng.randrange(3, 31)
-            if tau > n:
+    for sigma, seq in _periodic_texts(rng, (2, 3, 4, 5, 16, 100), 20):
+        pt = pack(seq, sigma)
+        for tau in (3, rng.randrange(4, 31)):
+            if tau > len(seq):
                 continue
             psets = compute_q_and_b(pt, tau)
             q = naive_q_positions(seq, tau)
             assert list(psets.q_positions) == q, (sigma, tau)
             assert list(psets.b_positions) == naive_b_positions(seq, tau)
             nonempty += bool(q)
+    assert nonempty >= 20
+
+
+def test_r_mask_matches_oracle(rng):
+    # R is the stretch of 2tau starts inside Q: the starts whose
+    # (3tau-1)-window is highly periodic
+    nonempty = 0
+    for sigma, seq in _periodic_texts(rng, (2, 3, 5, 100), 10):
+        pt = pack(seq, sigma)
+        for tau in (3, rng.randrange(4, 13)):
+            if 3 * tau - 1 > len(seq):
+                continue
+            want = naive_sync_positions_r(seq, tau)
+            got = np.flatnonzero(r_mask(compute_q_and_b(pt, tau))) + 1
+            assert got.tolist() == want, (sigma, tau)
+            nonempty += bool(want)
     assert nonempty >= 20
 
 
@@ -319,6 +344,14 @@ def test_window_min_matches_sliding_window():
     a = np.full(70, top, dtype=np.int64)
     a[33] = top - 1
     assert _window_min(a, 70).tolist() == [top - 1]
+    # on a boolean mask it is a sliding AND, and leaves the mask as it was
+    mask = gen.random(131) < 0.9
+    kept = mask.copy()
+    for width in range(1, 132):
+        want = np.lib.stride_tricks.sliding_window_view(mask, width).all(1)
+        got = _window_min(mask, width)
+        assert got.dtype == bool and np.array_equal(got, want), width
+    assert np.array_equal(mask, kept)
 
 
 def _unmix(values, w, seed):

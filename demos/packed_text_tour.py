@@ -1,8 +1,8 @@
-"""Tour of the packed text layer: keys, fragment LCP, and periods."""
+"""Tour of the packed text layer: keys and fragment LCP."""
 
 import numpy as np
 
-from sst.packed_text import lcp_fragments, pack, short_periods, window_keys
+from sst.packed_text import lcp_fragments, pack, window_keys
 
 # pack stores ceil(log2 sigma) bits per symbol inside 64-bit words
 text = "abaababaabaab"
@@ -29,11 +29,3 @@ print("3-windows sorted:", [text[i - 1:i + 2] for i in order[:5]], "...")
 hit = lcp_fragments(pt, 1, 4, cap=8)
 print("lcp of suffixes 1 and 4 capped at 8:", hit)
 
-# smallest periods: short_periods tests each candidate p <= pmax with one
-# batch LCP pass over all fragments, so pmax = length always finds one
-for i, length in ((1, 6), (1, 13), (4, 5)):
-    print("per(%s) = %d" % (text[i - 1:i + length - 1],
-                            short_periods(pt, [i], length, length)[0]))
-# below the bound a fragment without so short a period reads 0
-print("periods <= 3 of the 6-windows:",
-      short_periods(pt, np.arange(1, 9), 6, 3).tolist())

@@ -2,7 +2,7 @@
 
 from .packed_text import (PackedText, dense_ranks, doubled_classes,
                           lcp_fragments, lcp_fragments_many, pack,
-                          pack_columns, short_periods, window_keys)
+                          pack_columns, window_keys)
 from .suffix_core import SuffixArrayIndex, build_suffix_array
 from .sync_set import (SyncSet, compute_q_and_b, construct,
                        construct_deterministic, construct_randomized,

@@ -18,10 +18,11 @@ synchronizing position within tau ahead either starts a short suffix at
 the text end, which its window decides, or, by density, a highly
 periodic window of length 3tau-1.  Those windows form one block per
 label, and the block's rows lie in periodic runs of one period and
-phase.  They order by the run's type (does the period break downward or
-upward), then by the distance to the break, ascending for a downward
-break and descending for an upward one, then by the rank of the member
-just past the break, which the equal periodic stretches leave to decide.
+phase.  They order by the reduced string's run key d = type * (n - L),
+L the distance to the break and type -1 or +1 as the period breaks
+downward or upward, so L ascends for a downward break and descends for
+an upward one, then by the rank of the member just past the break,
+which the equal periodic stretches leave to decide.
 One more sort of the block rows on those fields places them exactly.  A
 plain suffix-array fallback covers inputs too small or too wide for the
 packed pipeline.
@@ -96,8 +97,9 @@ def _emit_blocks(pt, tau, s, isa, runs, keys):
 
     # far from every member, a full window is highly periodic (density);
     # rows sharing such a label share the run's period and phase, so they
-    # order by run type, distance L to the break, then the suffix at the
-    # member b = e - 2tau + 1 after it, which the equal T[i..e) leaves
+    # order by the reduced string's d = type * (n - L), L the distance to
+    # the break, then the suffix at the member b = e - 2tau + 1 after it,
+    # which the equal T[i..e) leaves
     slots = np.flatnonzero(((tie == 0) & (length == cap))[sa])
     if len(slots):
         rows = sa[slots]
@@ -107,15 +109,14 @@ def _emit_blocks(pt, tau, s, isa, runs, keys):
         r = np.searchsorted(j, rows + 1, side="right") - 1
         if np.any(r < 0) or np.any(e[r] - rows - 1 < cap):
             raise AssertionError("periodic block row outside every run")
-        dist = e[r] - rows - 1
-        up = typ[r] > 0
-        # ascending L for type -1, descending for +1; past the last
+        # type -1 rows read d + n = L <= n, type +1 rows 2n - L > n, since
+        # L = n only where a type -1 run covers the text; past the last
         # member b is the sentinel, which only the text-end run reaches
+        d = typ[r] * (n - (e[r] - rows - 1))
         brank = rank[prev[r] + 1]
         sa[slots] = rows[sort_rows(pack_columns(
-            [(seg, int(seg[-1]) + 1), (up, 2),
-             (np.where(up, n - dist, dist), n + 1), (brank, len(s) + 1)],
-            len(rows)))]
+            [(seg, int(seg[-1]) + 1), (d + n, 2 * n + 1),
+             (brank, len(s) + 1)], len(rows)))]
     bwt = pt.symbols[sa - 1]
     return bwt, int(np.flatnonzero(sa == 0)[0]) + 1
 

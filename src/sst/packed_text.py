@@ -185,43 +185,6 @@ def _read_words(words, last, pos):
     return (words[w] >> off) | (hi << (np.uint64(63) - off) << np.uint64(1))
 
 
-def short_periods(pt, starts, length, pmax):
-    """Smallest period p <= pmax of each T[i..i+length), 0 if none.
-
-    A period of X is the smallest p >= 1 with X[t] = X[t+p] wherever
-    both sides exist, and every X has period |X|.  One pass per
-    candidate p compares the packed words of T[i..i+length-p) and
-    T[i+p..i+length) for all starts at once.
-
-    >>> pt = pack([0, 1, 0, 1, 0, 1, 1, 0], 2)
-    >>> short_periods(pt, [1, 2, 4, 5], 4, 2).tolist()
-    [2, 2, 0, 0]
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    if length < 1:
-        raise ValueError("empty fragments have no period")
-    if np.any((starts < 1) | (starts + length - 1 > pt.n)):
-        raise IndexError("fragment out of range")
-    b = pt.bits_per_symbol
-    words, last = pt.words, len(pt.words) - 1
-    pos = (starts - 1) * b
-    out = np.zeros(len(starts), dtype=np.int64)
-    # descending, so that the smallest period is written last
-    for p in range(min(pmax, length - 1), 0, -1):
-        same = np.ones(len(starts), dtype=bool)
-        bits = (length - p) * b
-        for off in range(0, bits, WORD_BITS):
-            diff = (_read_words(words, last, pos + off)
-                    ^ _read_words(words, last, pos + p * b + off))
-            if bits - off < WORD_BITS:
-                diff &= np.uint64((1 << (bits - off)) - 1)
-            same &= diff == 0
-        out[same] = p
-    if pmax >= length:
-        out[out == 0] = length
-    return out
-
-
 def _column_symbols(sigma):
     """The most symbols c with sigma**c <= 2**62, one key column's worth."""
     return next(c for c in range(62 // _bits_for(sigma), 63)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .packed_text import (_column_symbols, dense_ranks, pack_columns,
-                          short_periods, window_keys)
+                          window_keys)
 from .suffix_core import build_suffix_array
 
 
@@ -40,7 +40,10 @@ def find_runs(pt, tau, positions):
     Consecutive members a < b of the set, with 0 before the first and
     the sentinel n-2tau+2 after the last, more than tau apart bound a
     run T[j..e) with j = a+1 and e = b+2tau-1: by density T[j..j+3tau-1)
-    has period p <= tau/3, and p extends to the break at e.  Returns
+    has period p <= tau/3, and p extends to the break at e.  p is the
+    smallest q <= tau/3 with T[k] = T[k+q] all along that fragment, the
+    symbol equalities compute_q_and_b tests; by Fine and Wilf every
+    other period up to tau/3 is a multiple of it.  Returns
     (prev, j, e, p, type), one entry per run: prev is the index of
     member a in the set, -1 for the run before the first member, and
     type is +1 when T[e] > T[e-p] and -1 when e > n or T[e] < T[e-p].
@@ -54,7 +57,12 @@ def find_runs(pt, tau, positions):
         return (row,) * 5
     j = prev[row] + 1
     e = nxt[row] + 2 * tau - 1
-    p = short_periods(pt, j, 3 * tau - 1, tau // 3)
+    frag = np.lib.stride_tricks.sliding_window_view(
+        pt.symbols[:n], 3 * tau - 1)[j - 1]
+    p = np.zeros(len(row), dtype=np.int64)
+    # descending, so that the smallest period is written last
+    for q in range(tau // 3, 0, -1):
+        p[(frag[:, q:] == frag[:, :-q]).all(axis=1)] = q
     if np.any(p == 0):
         raise AssertionError("gap > tau outside a highly periodic run at %d"
                              % (j[p == 0][0] - 1))

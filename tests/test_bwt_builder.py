@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from sst import packed_text
 from sst.bwt_builder import build_bwt, invert_bwt, read_bwt, write_bwt
+from sst.lce_index import LceIndex
 from sst.packed_text import pack
 from sst.sync_set import construct
-from sst.sync_sort import build_tprime
-from sst.reference_oracles import naive_bwt, naive_period
+from sst.sync_sort import build_tprime, find_runs
+from sst.reference_oracles import naive_bwt, naive_lce, naive_period
 
 from conftest import (all_binary_texts, fibonacci_word, full_profile,
                       periodic_mosaic, random_text, thue_morse)
@@ -73,10 +74,13 @@ def test_adversarial_texts():
         res = build_bwt(pack(seq, 2))
         back = invert_bwt(res)
         assert list(back) == list(seq)
+    # the label blocks of 0^50 1 0^50 and (01)^50 1 (01)^50 each hold a
+    # run that breaks upward at the lone 1 and one that ends past the text
     for seq in ([0] * 400, [0, 1] * 200, [0, 0, 1] * 133,
-                fibonacci_word(300), thue_morse(300)):
+                fibonacci_word(300), thue_morse(300),
+                [0] * 50 + [1] + [0] * 50, [0, 1] * 50 + [1] + [0, 1] * 50):
         _check(seq)
-        for tau in (2, 5):
+        for tau in (2, 5, 6, 9):
             _check(seq, tau=tau)
 
 
@@ -159,6 +163,40 @@ def test_find_runs_structure():
             got = list(zip(j.tolist(), e.tolist(), p.tolist(), typ.tolist()))
             assert got == _brute_runs(seq, tau, s.positions)
             assert j[0] == 1 and e[-1] == len(seq) + 1
+    # tau 12 and 15 reach periods 4 and 5, whose multiples up to tau/3
+    # are periods too; sigma 256, 1000 and 2**33 keep a uint8, a uint16
+    # and an int64 copy of the symbols, which the period test reads.  No
+    # tau fits 3tau symbols of 34 bits in one key column, so the runs of
+    # sigma = 2**33 come through LceIndex, whose answers are checked too.
+    # A stretch of period tau // 3 sits between two mosaics
+    for sigma, tau, head, tail in ((2, 12, [0, 1, 1, 0], [1, 0, 0]),
+                                   (4, 15, [2, 0, 3, 1, 1], [3, 0, 1, 2]),
+                                   (4, 12, [1, 1], [2, 3]),
+                                   (256, 9, [255, 0, 7], [200, 1]),
+                                   (1000, 6, [999, 3], [512]),
+                                   (2 ** 33, 6, [2 ** 33 - 1, 5], [2 ** 32]),
+                                   (2 ** 33, 9, [7, 2 ** 32, 7], [1, 2])):
+        for _ in range(2):
+            block = random_text(rng, tau // 3, sigma)
+            seq = (head * 30 + periodic_mosaic(rng, rng.randrange(100, 600),
+                                               sigma) + block * 12
+                   + periodic_mosaic(rng, rng.randrange(50, 300), sigma)
+                   + tail * 30)
+            pt = pack(seq, sigma)
+            idx = LceIndex(pt, tau)
+            _, j, e, p, typ = find_runs(pt, tau, idx.sync.positions)
+            got = list(zip(j.tolist(), e.tolist(), p.tolist(), typ.tolist()))
+            assert got == _brute_runs(seq, tau, idx.sync.positions), \
+                (sigma, tau)
+            assert j[0] == 1 and e[-1] == len(seq) + 1
+            n = len(seq)
+            i = [rng.randrange(1, n + 1) for _ in range(100)]
+            # half the pairs a short shift apart, inside runs as often
+            k = [min(n, a + rng.randrange(12)) for a in i[:50]] + [
+                rng.randrange(1, n + 1) for _ in range(50)]
+            want = [naive_lce(seq, a, b) for a, b in zip(i, k)]
+            assert [idx.query(a, b) for a, b in zip(i, k)] == want
+            assert idx.query_many(i, k).tolist() == want
 
 
 def test_round_trip_random(rng):

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from sst.packed_text import (_column_symbols, dense_ranks, doubled_classes,
                              lcp_fragments, lcp_fragments_many, pack,
-                             pack_columns, short_periods, sort_rows,
-                             window_keys)
-from sst.reference_oracles import naive_lce, naive_period
+                             pack_columns, sort_rows, window_keys)
+from sst.reference_oracles import naive_lce
 
 from conftest import periodic_mosaic, random_text
 
@@ -140,39 +139,6 @@ def test_lcp_fragments_self():
     assert lcp_fragments(pt, 2, 2, 99) == 3
 
 
-def _short_period(frag, pmax):
-    p = naive_period(frag)
-    return p if p <= pmax else 0
-
-
-def test_short_periods_matches_naive(rng):
-    # fragments longer than one 64-bit word, periodic stretches, and
-    # every pmax from none to past the fragment length
-    for sigma in (2, 4, 256):
-        seq = periodic_mosaic(rng, 400, sigma)
-        pt = pack(seq, sigma)
-        for length in (1, 2, 7, 70, 150):
-            starts = [rng.randrange(1, 400 - length + 2) for _ in range(60)]
-            for pmax in (0, 1, 3, 8, length, length + 5):
-                want = [_short_period(seq[i - 1:i - 1 + length], pmax)
-                        for i in starts]
-                got = short_periods(pt, starts, length, pmax)
-                assert got.tolist() == want, (sigma, length, pmax)
-
-
-def test_short_periods_known_words():
-    pt = pack([0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 7], 8)
-    assert short_periods(pt, [1, 4, 8], 4, 3).tolist() == [1, 2, 3]
-    assert short_periods(pt, [1, 4, 8], 4, 2).tolist() == [1, 2, 0]
-    assert short_periods(pt, [12, 1], 1, 1).tolist() == [1, 1]
-    assert short_periods(pt, [12], 1, 0).tolist() == [0]
-    assert short_periods(pt, [], 5, 2).tolist() == []
-    with pytest.raises(IndexError):
-        short_periods(pt, [10], 4, 2)
-    with pytest.raises(ValueError):
-        short_periods(pt, [1], 0, 2)
-
-
 def test_bulk_keys_matches_extract(rng):
     # a count k gives the first k keys of any larger count, and the
     # windows at starts past n read as all zeros
@@ -233,19 +199,6 @@ def test_lcp_fragments_many_matches_scalar(sigma, n, seed, data):
         lcp_fragments(pt, a, b, n) for a, b, _ in rows]
     with pytest.raises(IndexError):
         lcp_fragments_many(pt, [1], [n + 1], n)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 4, 256]), st.lists(st.integers(0, 255), min_size=1,
-                                             max_size=90), st.data())
-def test_short_periods_property(sigma, raw, data):
-    seq = [c % sigma for c in raw]
-    pt = pack(seq, sigma)
-    length = data.draw(st.integers(1, len(seq)))
-    pmax = data.draw(st.integers(0, length + 1))
-    starts = list(range(1, len(seq) - length + 2))
-    assert short_periods(pt, starts, length, pmax).tolist() == [
-        _short_period(seq[i - 1:i - 1 + length], pmax) for i in starts]
 
 
 @settings(max_examples=40, deadline=None)

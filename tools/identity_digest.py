@@ -17,7 +17,8 @@ runs at tau = default_tau, 1, 2, 62 // (3 * bits), c + 1 and
 - lce: LceIndex query and query_many on seeded position pairs;
 - det, random7: the det set and the seed-7 random set;
 - periodic: the Q, B and R masks;
-- tprime: build_tprime's symbols for the seed-0 random set.
+- tprime: build_tprime's symbols for the seed-0 random set;
+- runs: find_runs' (j, e, p, type) for the seed-0 random set.
 """
 
 import collections
@@ -36,7 +37,7 @@ from conftest import (fibonacci_word, periodic_mosaic,  # noqa: E402
 from sst import LceIndex, build_bwt, default_tau, pack  # noqa: E402
 from sst.packed_text import _column_symbols  # noqa: E402
 from sst.sync_set import compute_q_and_b, construct, r_mask  # noqa: E402
-from sst.sync_sort import build_tprime  # noqa: E402
+from sst.sync_sort import build_tprime, find_runs  # noqa: E402
 
 SIGMAS = (2, 3, 4, 5, 16, 100, 256, 1000)
 LENGTHS = (40, 61, 97, 150, 233, 377, 610, 987, 1597, 2500)
@@ -87,28 +88,35 @@ def outputs(pt, tau):
         "random7": [construct(pt, tau, mode="random", seed=7).positions],
         "periodic": [psets.q, psets.b, r_mask(psets)],
         "tprime": [build_tprime(pt, idx.sync).symbols],
+        "runs": list(find_runs(pt, tau, idx.sync.positions)[1:]),
     }
 
 
-def main():
-    hashes = collections.defaultdict(hashlib.sha1)
-    texts = cells = 0
+def texts():
+    """(sigma, name, n, symbols) of every text of the grid, in order."""
     for sigma in SIGMAS:
         for name, make in TEXTS.items():
             for n in LENGTHS:
                 rng = random.Random("%d %s %d" % (sigma, name, n))
-                pt = pack(make(rng, n, sigma), sigma)
-                texts += 1
-                for tau in taus(n, sigma):
-                    cells += 1
-                    cell = ("%d %s %d %d;" % (sigma, name, n, tau)).encode()
-                    for kind, arrays in outputs(pt, tau).items():
-                        hashes[kind].update(cell)
-                        for a in arrays:
-                            a = np.asarray(a, dtype=np.int64)
-                            hashes[kind].update(b"%d:" % len(a))
-                            hashes[kind].update(a.tobytes())
-    print("texts %d cells %d" % (texts, cells))
+                yield sigma, name, n, make(rng, n, sigma)
+
+
+def main():
+    hashes = collections.defaultdict(hashlib.sha1)
+    count = cells = 0
+    for sigma, name, n, seq in texts():
+        pt = pack(seq, sigma)
+        count += 1
+        for tau in taus(n, sigma):
+            cells += 1
+            cell = ("%d %s %d %d;" % (sigma, name, n, tau)).encode()
+            for kind, arrays in outputs(pt, tau).items():
+                hashes[kind].update(cell)
+                for a in arrays:
+                    a = np.asarray(a, dtype=np.int64)
+                    hashes[kind].update(b"%d:" % len(a))
+                    hashes[kind].update(a.tobytes())
+    print("texts %d cells %d" % (count, cells))
     for kind, h in hashes.items():
         print("%-8s %s" % (kind, h.hexdigest()))
 

@@ -5,20 +5,22 @@ sentinel is appended: a suffix that is a proper prefix of another sorts
 first, which the doubling comparison realizes by ranking absent symbols
 below every real rank.
 
-Prefix doubling (Manber and Myers, SIAM J. Comput. 1993) ranks the
-2^k-symbol prefixes of all suffixes in round k.  With the LCP array
-requested, the constructor keeps those rank arrays until it has built
-the LCP array from them by binary lifting: two distinct starts with
-equal round-k ranks begin with equal, complete 2^k-symbol blocks, so
-the common prefix of two suffixes is the sum of the block lengths that
-match, tried from the longest down.  The sparse table of range minima
-over an LCP array answers the common prefix of any two suffixes, the
-minimum between their ranks.
+Prefix doubling (Manber and Myers, SIAM J. Comput. 1993) starts from one
+int64 key column of c symbols and ranks the c*2^k-symbol prefixes of all
+suffixes in round k.  With the LCP array requested, the constructor
+keeps those rank arrays until it has built the LCP array by binary
+lifting: two distinct starts with equal round-k ranks begin with equal,
+complete c*2^k-symbol blocks, so the common prefix of two suffixes is
+the sum of the block lengths that match, tried from the longest down,
+plus the equal leading symbols of the keys where they stop.  The sparse
+table of range minima over an LCP array answers the common prefix of any
+two suffixes, the minimum between their ranks.
 """
 
 import numpy as np
 
-from .packed_text import _int_values, dense_ranks, doubled_classes
+from .packed_text import (_doubled_keys, _int_values, dense_ranks,
+                          doubled_classes)
 
 
 class SuffixArrayIndex:
@@ -37,9 +39,22 @@ class SuffixArrayIndex:
         self.n = n
         narrow = next(t for t in (np.int16, np.int32, np.int64)
                       if n <= np.iinfo(t).max)
+        # symbols 1..u, shifted values or dense ranks, then zeros
+        lo, hi = (int(arr.min()), int(arr.max())) if n else (0, -1)
+        sym = np.zeros(n + 64, dtype=narrow)
+        sym[:n] = arr - lo if hi - lo < n else dense_ranks([arr])
+        sym[:n] += 1
+        b = int(sym.max()).bit_length()
+        # a permutation of lo..hi ranks as arr - lo, without a sort; else
+        # c symbols of b bits and the row index fit _sort's 63 bits
+        perm = hi - lo + 1 == n and np.bincount(sym[:n]).max(initial=0) < 2
+        c = 1 if perm else min(n, (63 - (n - 1).bit_length()) // b)
+        key = _doubled_keys(sym[:n + c], c, 1 << b)[:n]
+        sym = sym[:n + c] if with_lcp else None
+        rank = key - 1 if perm else dense_ranks([key])
+        del key
         ranks = []
-        rank = dense_ranks([arr])
-        for nxt in doubled_classes(rank, 1):
+        for nxt in doubled_classes(rank, c):
             if with_lcp:
                 # -1 at index n stands for a block that runs past the end
                 ranks.append(np.full(n + 1, -1, dtype=narrow))
@@ -50,25 +65,40 @@ class SuffixArrayIndex:
         self.sa = sa0 + 1
         self.isa = rank + 1
         # lcp[r]: common prefix of the suffixes of ranks r+1 and r+2
-        self.lcp = _lcp_by_lifting(ranks, sa0) if with_lcp else None
+        self.lcp = (_lcp_by_lifting(ranks, sa0, sym, c, b) if with_lcp
+                    else None)
 
 
-def _lcp_by_lifting(ranks, sa0):
+def _lcp_by_lifting(ranks, sa0, sym, c, b):
     """Common prefix of the suffixes at sa0[r] and sa0[r+1], 0-based.
 
     ranks[k] holds the round-k rank of every start plus -1 at index n.
     The final round's ranks are distinct, so every common prefix is
-    shorter than 2^len(ranks) and one pass from the top round down
-    finds it.  A start plus the prefix found so far is at most n, and
-    at most one of the two reaches n, where -1 matches no rank.
+    shorter than c*2^len(ranks), and one pass from the top round down,
+    each round freed once read, finds it to a multiple h of c.  A start
+    plus h is at most n, and at most one of the two reaches n, where -1
+    matches no rank.  The rest is the equal leading b-bit digits of the
+    keys at the two starts plus h, rebuilt from sym (the symbols, then
+    c zeros); key n reads 0, below every other.
     """
-    a = sa0[:-1]
-    b = sa0[1:]
+    a, z = sa0[:-1], sa0[1:]
     h = np.zeros(len(a), dtype=np.int64)
     for k in range(len(ranks) - 1, -1, -1):
-        rk = ranks[k]
-        h += (rk[a + h] == rk[b + h]) << k
-    return h
+        h += (ranks[k][a + h] == ranks[k][z + h]) * (c << k)
+        ranks[k] = None
+    key = _doubled_keys(sym, c, 1 << b)
+    x = key[a + h]
+    x ^= key[z + h]
+    del key
+    return h + (c * b - _bit_length(x)) // b
+
+
+def _bit_length(x):
+    """bit_length of every int64 x > 0: frexp's exponent, less one where
+    the float64 rounded x up to a power of two (x near 2^k, k > 53)."""
+    e = np.frexp(x)[1]
+    e -= (x >> (e - 1)) == 0
+    return e
 
 
 def _build_sparse_min(vals):

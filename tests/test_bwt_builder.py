@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,21 @@ def test_sync_path_encodes_the_windows_once(monkeypatch, rng):
         assert res.meta["pipeline"] == "sync"
         assert len(calls) == 1, sigma
         assert (res.bwt.tolist(), res.primary_index) == naive_bwt(seq)
+
+
+def test_naive_bwt_peak_memory():
+    # the suffix sort's one-column start frees its padded symbols before
+    # the sort and keeps no keys through the rounds: about 65 bytes a
+    # symbol, set by the doubling rounds, as from single symbols
+    n = 1 << 18
+    pt = pack(np.random.default_rng(2).integers(0, 2, n).astype(np.uint8), 2)
+    tracemalloc.start()
+    try:
+        build_bwt(pt, force_naive=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 66 * n, peak / n
 
 
 @pytest.mark.parametrize("sigma", [1 << 33, 1 << 41])

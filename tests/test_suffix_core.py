@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from sst.lce_index import LceIndex
 from sst.packed_text import lcp_fragments_many, pack
-from sst.suffix_core import (SuffixArrayIndex, _build_sparse_min, _range_min,
-                             _range_min_many, build_suffix_array)
+from sst import suffix_core
+from sst.suffix_core import (SuffixArrayIndex, _bit_length, _build_sparse_min,
+                             _range_min, _range_min_many, build_suffix_array)
 from sst.reference_oracles import (doubling_suffix_array, naive_lce,
                                    naive_suffix_array)
 
@@ -171,3 +173,106 @@ def test_rejects_uint64_past_int64():
         build_suffix_array(np.array([1 << 63, 1], dtype=np.uint64))
     ok = np.array([(1 << 63) - 1, 1], dtype=np.uint64)
     assert build_suffix_array(ok).sa.tolist() == [2, 1]
+
+
+def _check_index(seq):
+    """sa, isa and lcp of seq against the oracles."""
+    vals = [int(v) for v in seq]
+    idx = SuffixArrayIndex(seq)
+    sa = idx.sa.tolist()
+    assert sa == naive_suffix_array(vals), vals
+    assert idx.isa.tolist() == [sa.index(p) + 1 for p in range(1, len(sa) + 1)]
+    assert idx.lcp.tolist() == [naive_lce(vals, a, b)
+                                for a, b in zip(sa, sa[1:])], vals
+    return idx
+
+
+def _width(n, u):
+    """The start's column: c symbols of bit_length(u) bits and the row
+    index of n rows fit 63 bits, cut to n."""
+    return min(n, (63 - (n - 1).bit_length()) // u.bit_length())
+
+
+def test_start_on_every_short_sequence():
+    vals = [-(1 << 63), -1, 0, 1, 5, (1 << 63) - 1]
+    for n in range(3):
+        for seq in itertools.product(vals, repeat=n):
+            _check_index(np.array(seq, dtype=np.int64))
+
+
+def test_start_on_permutations_and_near_permutations(rng):
+    # a permutation of lo..lo+n-1 ranks without a sort; one repeat makes
+    # the same span take the key column
+    for n in (1, 2, 3, 17, 64, 200):
+        for lo in (0, -7, -(1 << 63), (1 << 63) - n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            idx = _check_index(np.array(perm, dtype=np.int64) + lo)
+            assert idx.lcp.tolist() == [0] * (n - 1)
+            if n > 1:
+                near = list(perm)
+                near[rng.randrange(n)] = near[rng.randrange(n)]
+                _check_index(np.array(near, dtype=np.int64) + lo)
+
+
+def test_start_on_extreme_values(rng):
+    ends = [-(1 << 63), (1 << 63) - 1]
+    for n in (3, 40, 150):
+        _check_index(np.array([rng.choice(ends) for _ in range(n)],
+                              dtype=np.int64))
+        _check_index(np.array([rng.randrange(1 << 63) for _ in range(n)],
+                              dtype=np.uint64))
+        # sigma = 2^62: the span exceeds n, so the symbols are dense ranks
+        _check_index(np.array([rng.choice([0, 1, (1 << 62) - 1]) if
+                               rng.random() < 0.5 else rng.randrange(1 << 62)
+                               for _ in range(n)], dtype=np.int64))
+
+
+def test_start_on_unary_text_around_three_columns():
+    for n in range(2, 400):
+        c = _width(n, 1)
+        if n in (3 * c - 1, 3 * c + 1):
+            idx = _check_index(np.full(n, 9, dtype=np.int64))
+            assert idx.lcp.tolist() == list(range(1, n))
+
+
+def test_start_on_common_prefixes_around_one_column(rng):
+    # a random block A over 1..4 planted twice, each copy followed by
+    # its own separator: the longest common prefix is |A|
+    for sigma in (4, 16):
+        for n in (100, 300):
+            c = _width(n, sigma + 2)
+            for length in (c - 1, c, c + 1, 2 * c):
+                block = [rng.randrange(1, sigma + 1) for _ in range(length)]
+                tail = [rng.randrange(1, sigma + 1)
+                        for _ in range(n - 2 * length - 2)]
+                seq = block + [0] + block + [sigma + 1] + tail
+                idx = _check_index(np.array(seq, dtype=np.int64))
+                assert int(idx.lcp.max()) == length, (sigma, n, length)
+
+
+def test_start_column_is_the_widest_that_fits(monkeypatch, rng):
+    # the key column's top digit holds the largest symbol u, so its
+    # largest key has c * b bits; with the row index those fit the 63
+    # bits of _sort's value sort, and one more symbol would not
+    cols = []
+    ranks = suffix_core.dense_ranks
+    monkeypatch.setattr(suffix_core, "dense_ranks",
+                        lambda c: cols.append(c[0]) or ranks(c))
+    for sigma, n in ((1, 5), (2, 40), (2, 1 << 12), (4, 3000), (256, 5000),
+                     (1000, 1 << 16)):
+        del cols[:]
+        seq = np.array([rng.randrange(sigma) for _ in range(n)])
+        seq[0] = sigma - 1
+        SuffixArrayIndex(seq, with_lcp=False)
+        b, row = sigma.bit_length(), (n - 1).bit_length()
+        top = int(cols[0].max()).bit_length()
+        assert top % b == 0 and top + row <= 63, (sigma, n)
+        assert top // b == n or top + b + row > 63, (sigma, n)
+
+
+def test_bit_length_at_powers_of_two():
+    # float64 rounds 2^k - 1 up to 2^k for k > 53
+    xs = [(1 << k) - 1 for k in range(1, 64)] + [1 << k for k in range(63)]
+    got = _bit_length(np.array(xs, dtype=np.int64))
+    assert got.tolist() == [x.bit_length() for x in xs]

@@ -326,8 +326,8 @@ def test_sync_path_encodes_the_windows_once(monkeypatch, rng):
 
 def test_naive_bwt_peak_memory():
     # the suffix sort's one-column start frees its padded symbols before
-    # the sort and keeps no keys through the rounds: about 65 bytes a
-    # symbol, set by the doubling rounds, as from single symbols
+    # the sort and keeps no keys through the rounds, so the doubling
+    # rounds set the peak, about 65 bytes a symbol
     n = 1 << 18
     pt = pack(np.random.default_rng(2).integers(0, 2, n).astype(np.uint8), 2)
     tracemalloc.start()

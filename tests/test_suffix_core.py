@@ -263,7 +263,7 @@ def test_start_column_is_the_widest_that_fits(monkeypatch, rng):
                      (1000, 1 << 16)):
         del cols[:]
         seq = np.array([rng.randrange(sigma) for _ in range(n)])
-        seq[0] = sigma - 1
+        seq[:2] = sigma - 1, 0
         SuffixArrayIndex(seq, with_lcp=False)
         b, row = sigma.bit_length(), (n - 1).bit_length()
         top = int(cols[0].max()).bit_length()

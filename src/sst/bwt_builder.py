@@ -36,6 +36,11 @@ from .suffix_core import SuffixArrayIndex
 from .sync_set import construct
 from .sync_sort import sort_sync_suffixes
 
+# rows per Python step of invert_bwt, a power of two: its walk takes
+# ceil(n / JUMP) steps on LF^JUMP, JUMP gathers of that many rows expand
+# them, and squaring LF log2(JUMP) times costs as many n-row gathers
+JUMP = 32
+
 
 class BwtResult:
     """Transformed symbols, the rank of the whole text, and metadata."""
@@ -160,27 +165,54 @@ def build_bwt(pt, tau=None, force_naive=False):
 
 
 def invert_bwt(res):
-    """Recover the text by walking the last-to-first mapping backwards."""
-    bwt = np.asarray(res.bwt, dtype=np.int64)
+    """Recover the text by walking the last-to-first mapping backwards.
+
+    The text read backwards is bwt[r] over the rows r = LF^t(p - 1),
+    t = 0..n-1, of the 0-based last-to-first mapping LF.  LF is a
+    permutation for every input, a corrupt (bwt, p) pair too: the stable
+    ranks are one, and the primary slot's correction rotates one symbol's
+    bucket.  So LF^JUMP, LF squared log2(JUMP) times, is one as well,
+    and one Python step on it per JUMP rows gives the rows t = 0, JUMP,
+    2 JUMP, ...; JUMP vectorised gathers through LF fill in the rows
+    between them.  The last m * JUMP - n rows walked, m = ceil(n / JUMP),
+    lie past the text's first symbol; they fill the front of the output
+    buffer, which the returned view leaves out.
+    """
+    bwt = np.asarray(res.bwt)
+    if bwt.dtype.kind not in "iu" or bwt.dtype == np.uint64:
+        bwt = np.asarray(res.bwt, dtype=np.int64)
     n = len(bwt)
     p = int(res.primary_index)
     if not 1 <= p <= n:
         raise ValueError("primary index out of range")
-    order = np.argsort(bwt, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    lf = rank + 1
-    # entries above the primary slot with its symbol shift one rank down
-    lf[(np.arange(n) < p - 1) & (bwt == bwt[p - 1])] += 1
-    lf[p - 1] = int(np.count_nonzero(bwt < bwt[p - 1])) + 1
-    out = np.zeros(n, dtype=np.int64)
-    lf_l = lf.tolist()
-    bwt_l = bwt.tolist()
-    i = p
-    for k in range(n - 1, -1, -1):
-        out[k] = bwt_l[i - 1]
-        i = lf_l[i - 1]
-    return out
+    c = bwt[p - 1]
+    # stable ranks in the symbols' own dtype, which numpy radix sorts at
+    # 8 and 16 bits; entries above the primary slot with its symbol shift
+    # one rank down, and the slot takes the first rank of its symbol
+    lf = np.empty(n, dtype=np.int64)
+    lf[np.argsort(bwt, kind="stable")] = np.arange(n)
+    head = lf[:p - 1]
+    head += bwt[:p - 1] == c
+    lf[p - 1] = np.count_nonzero(bwt < c)
+    jump = lf[lf]
+    for _ in range(JUMP.bit_length() - 2):
+        jump = jump[jump]
+    m = -(-n // JUMP)
+    # rows[k] is the row of step (m - 1 - k) * JUMP, so that the buffer
+    # fills back to front and the text reads forward
+    rows = [0] * m
+    step = jump.item
+    i = p - 1
+    for k in range(m - 1, -1, -1):
+        rows[k] = i
+        i = step(i)
+    del jump
+    cur = np.array(rows, dtype=np.int64)
+    out = np.empty(m * JUMP, dtype=np.int64)
+    for j in range(JUMP - 1, -1, -1):
+        out[j::JUMP] = bwt[cur]
+        cur = lf[cur]
+    return out[m * JUMP - n:]
 
 
 def write_bwt(res, path, meta_path):

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -350,3 +351,76 @@ def test_round_trip_huge_alphabet(sigma):
            else rng.randrange(sigma) for _ in range(300)]
     res = build_bwt(pack(seq, sigma))
     assert invert_bwt(res).tolist() == seq
+
+
+def _walk_inverse(bwt, p):
+    # the one-step-per-symbol walk of the 1-based last-to-first mapping
+    bwt = np.asarray(bwt, dtype=np.int64)
+    n = len(bwt)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(bwt, kind="stable")] = np.arange(n)
+    lf = rank + 1
+    lf[(np.arange(n) < p - 1) & (bwt == bwt[p - 1])] += 1
+    lf[p - 1] = int(np.count_nonzero(bwt < bwt[p - 1])) + 1
+    out = np.zeros(n, dtype=np.int64)
+    lf_l, bwt_l = lf.tolist(), bwt.tolist()
+    i = p
+    for k in range(n - 1, -1, -1):
+        out[k] = bwt_l[i - 1]
+        i = lf_l[i - 1]
+    return out
+
+
+def _same_as_walk(bwt, p):
+    got = invert_bwt(SimpleNamespace(bwt=bwt, primary_index=p))
+    want = _walk_inverse(bwt, p)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist(), p
+
+
+def test_invert_bwt_matches_the_walk_at_every_primary_index():
+    # LF is a permutation for every (bwt, p), valid transform or not, so
+    # the strided walk reads the same symbols as the one-step walk
+    gen = np.random.default_rng(24)
+    for n in (1, 2, 31, 32, 33, 65, 1000):
+        for sigma in (2, 4, 256):
+            bwt = gen.integers(0, sigma, n).astype(np.uint8)
+            for p in range(1, n + 1):
+                _same_as_walk(bwt, p)
+
+
+def test_invert_bwt_matches_the_walk_on_periodic_texts():
+    for n in (1, 2, 31, 32, 33, 65, 1000):
+        for seq in ([0] * n, ([0, 1] * n)[:n], ([0, 0, 1] * n)[:n],
+                    ([2, 0, 1] * n)[:n]):
+            res = build_bwt(pack(seq, max(2, max(seq) + 1)))
+            assert invert_bwt(res).tolist() == seq
+            # the periodic sequences as transforms themselves
+            for p in range(1, n + 1):
+                _same_as_walk(np.array(seq, dtype=np.uint8), p)
+
+
+def test_invert_bwt_matches_the_walk_on_wide_symbols():
+    bwt = [5, 2 ** 32, 3, 2 ** 32, 0, 7, 2 ** 32, 1] * 9
+    for p in range(1, len(bwt) + 1):
+        _same_as_walk(bwt, p)
+    res = build_bwt(pack([5, 2 ** 32, 3, 2 ** 32, 0], 1 << 33))
+    back = invert_bwt(SimpleNamespace(bwt=res.bwt.tolist(),
+                                      primary_index=res.primary_index))
+    assert back.dtype == np.int64
+    assert back.tolist() == [5, 2 ** 32, 3, 2 ** 32, 0]
+
+
+def test_invert_bwt_peak_memory():
+    # the ranks, two powers of LF and the int64 output, about 26 bytes a
+    # symbol; the one-step walk kept Python lists of both arrays, 88
+    n = 1 << 18
+    seq = np.random.default_rng(3).integers(0, 2, n).astype(np.uint8)
+    res = build_bwt(pack(seq, 2))
+    tracemalloc.start()
+    try:
+        back = invert_bwt(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, seq)
+    assert peak <= 40 * n, peak / n

@@ -380,7 +380,7 @@ def test_bench_json(tmp_path, capsys):
     rows = json.loads(out)
     tasks = {r["task"] for r in rows}
     assert {"build_bwt_sync", "build_bwt_naive", "sync_construct_random",
-            "lce_query_scalar", "lce_query_many",
+            "unbwt", "lce_query_scalar", "lce_query_many",
             "naive_over_sync_ratio"} <= tasks
     assert all(r["n"] == 4096 for r in rows)
     assert all(r["tau"] == default_tau(4096, 2) for r in rows)

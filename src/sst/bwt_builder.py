@@ -191,11 +191,10 @@ def invert_bwt(res):
     # one rank down, and the slot takes the first rank of its symbol
     lf = np.empty(n, dtype=np.int64)
     lf[np.argsort(bwt, kind="stable")] = np.arange(n)
-    head = lf[:p - 1]
-    head += bwt[:p - 1] == c
+    lf[:p - 1] += bwt[:p - 1] == c
     lf[p - 1] = np.count_nonzero(bwt < c)
-    jump = lf[lf]
-    for _ in range(JUMP.bit_length() - 2):
+    jump = lf
+    for _ in range(JUMP.bit_length() - 1):
         jump = jump[jump]
     m = -(-n // JUMP)
     # rows[k] is the row of step (m - 1 - k) * JUMP, so that the buffer

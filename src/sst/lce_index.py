@@ -13,7 +13,11 @@ successor of i is found by a binary search of the members, which a
 directory of 64-position buckets bounds to the at most 64 members in
 the bucket of i - 1.  Highly periodic stretches never contain
 synchronizing positions; the successor offsets alone determine the
-answer there.
+answer there.  While 3tau * bits <= 64, as at every default tau, each
+bounded comparison reads one 64-bit window a side from the packed
+words and takes the lowest set bit of their xor.  The build binds the
+state a scalar query reads to a closure, self.query, so that a call
+reads no attribute.
 """
 
 from bisect import bisect_right
@@ -126,52 +130,83 @@ class LceIndex:
         # 64b..64b+63, at most 64, have ranks _first[b].._first[b + 1] - 1
         self._first = np.searchsorted(self.sync.positions,
                                       np.arange(0, n + 64, 64)).tolist()
+        self.query = self._bind_query()
 
-    def query(self, i, j):
-        """LCE of the suffixes starting at 1-based positions i and j."""
-        if type(i) is not int or type(j) is not int:
-            i, j = _int_positions(i, j)
+    def _bind_query(self):
+        """The scalar query, with the index's read-only state bound once
+        as closure variables, so that a call reads no attribute."""
         pt = self.pt
-        n = pt.n
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexError("positions out of range [1..%d]" % n)
-        if i == j:
-            return n - i + 1
+        n, b, wl = pt.n, pt.bits_per_symbol, pt._wlist
         tau = self.tau
         cap = 3 * tau
-        head = lcp_fragments(pt, i, j, cap)
-        if head < cap:
-            return head
-        succ = self._succ_list
-        first = self._first
+        # starts <= last have all cap symbols, which full masks
+        last = n - cap + 1
+        full = (1 << cap * b) - 1
+        wide = cap * b > 64
+        succ, first = self._succ_list, self._first
+        rank, rmq = self._rank.item, self._rmq
         nprime = len(self.sync)
-        # the rank of the successor of i: the number of members below i
-        k = (i - 1) >> 6
-        ir = bisect_right(succ, i - 1, first[k], first[k + 1])
-        k = (j - 1) >> 6
-        jr = bisect_right(succ, j - 1, first[k], first[k + 1])
-        di = succ[ir] - i
-        dj = succ[jr] - j
-        if di != dj:
-            return min(di, dj) + 2 * tau - 1
-        if ir == nprime or jr == nprime:
-            ell = 0
-        else:
-            # ir != jr here: one successor would give di != dj
-            ra = self._rank.item(ir)
-            rb = self._rank.item(jr)
-            if ra > rb:
-                ra, rb = rb, ra
-            ell = _range_min(self._rmq, ra, rb)
-        ai = ir + ell
-        bi = jr + ell
-        a = succ[ai]
-        b = succ[bi]
-        tail = lcp_fragments(pt, a, b, cap)
-        if tail < cap:
-            return a - i + tail
-        gap = min(succ[ai + 1] - a, succ[bi + 1] - b)
-        return a - i + gap + 2 * tau - 1
+        reach = 2 * tau - 1
+
+        def lcp(i, j):
+            """T[i..] vs T[j..], i != j, capped at cap: one 64-bit window
+            a side from bit (i - 1) * b, the trailing zero words of _wlist
+            covering the text end, then the lowest set bit of the xor."""
+            if wide:
+                return lcp_fragments(pt, i, j, cap)
+            p = (i - 1) * b
+            k = p >> 6
+            x = (wl[k] | wl[k + 1] << 64) >> (p & 63)
+            p = (j - 1) * b
+            k = p >> 6
+            x ^= (wl[k] | wl[k + 1] << 64) >> (p & 63)
+            if i <= last and j <= last:
+                x &= full
+                lim = cap
+            else:
+                lim = n + 1 - (i if i > j else j)
+                x &= (1 << lim * b) - 1
+            return ((x & -x).bit_length() - 1) // b if x else lim
+
+        def query(i, j):
+            """LCE of the suffixes starting at 1-based positions i and j."""
+            if type(i) is not int or type(j) is not int:
+                i, j = _int_positions(i, j)
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise IndexError("positions out of range [1..%d]" % n)
+            if i == j:
+                return n - i + 1
+            head = lcp(i, j)
+            if head < cap:
+                return head
+            # the rank of the successor of i: the number of members below i
+            k = (i - 1) >> 6
+            ir = bisect_right(succ, i - 1, first[k], first[k + 1])
+            k = (j - 1) >> 6
+            jr = bisect_right(succ, j - 1, first[k], first[k + 1])
+            di = succ[ir] - i
+            dj = succ[jr] - j
+            if di != dj:
+                return (di if di < dj else dj) + reach
+            if ir == nprime or jr == nprime:
+                ell = 0
+            else:
+                # ir != jr here: one successor would give di != dj
+                ra = rank(ir)
+                rb = rank(jr)
+                ell = _range_min(rmq, ra, rb) if ra < rb else \
+                    _range_min(rmq, rb, ra)
+            ai = ir + ell
+            bi = jr + ell
+            a = succ[ai]
+            c = succ[bi]
+            tail = lcp(a, c)
+            if tail < cap:
+                return a - i + tail
+            gap = min(succ[ai + 1] - a, succ[bi + 1] - c)
+            return a - i + gap + reach
+
+        return query
 
     def query_many(self, i, j):
         """query over 1-D arrays of 1-based positions, as an int64 array.

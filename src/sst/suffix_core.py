@@ -117,7 +117,7 @@ def _range_min(table, a, b):
     """Minimum of the underlying array over [a..b-1], 0-based, a < b."""
     k = (b - a).bit_length() - 1
     row = table[k]
-    return int(min(row[a], row[b - (1 << k)]))
+    return min(row.item(a), row.item(b - (1 << k)))
 
 
 def _range_min_many(table, a, b):

@@ -18,6 +18,7 @@ computes them once and then, per picked class, rescores only the starts
 near the class's starts.
 """
 
+import functools
 import heapq
 from dataclasses import dataclass
 
@@ -184,15 +185,17 @@ def _class_flags(class_of, psets):
     return in_b, in_q
 
 
+@functools.lru_cache(maxsize=256)
 def _bijection_rounds(w, seed):
-    """Seeded (constant, odd multiplier, shift) triples of _bijection."""
+    """Seeded (constant, odd multiplier, shift) triples of _bijection, as
+    a tuple: the rounds are drawn once per (w, seed) and shared."""
     rng = np.random.default_rng(seed)
     rounds = []
     for _ in range(3):
         c, a = rng.integers(0, 1 << w, size=2, dtype=np.uint64)
         shift = rng.integers(max(1, w // 3), max(1, 2 * w // 3) + 1)
         rounds.append((c, a | np.uint64(1), np.uint64(shift)))
-    return rounds
+    return tuple(rounds)
 
 
 def _bijection(keys, w, seed):

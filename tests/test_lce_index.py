@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sst import packed_text
+from sst import lce_index, packed_text
 from sst.bwt_builder import build_bwt
 from sst.lce_index import LceIndex, default_tau
 from sst.packed_text import pack
@@ -19,8 +19,8 @@ from conftest import (all_binary_texts, fibonacci_word, full_profile,
                       periodic_mosaic, random_text)
 
 
-def _check_all_pairs(seq, tau=None):
-    pt = pack(seq, max(2, max(seq) + 1))
+def _check_all_pairs(seq, tau=None, sigma=None):
+    pt = pack(seq, sigma or max(2, max(seq) + 1))
     idx = LceIndex(pt, tau=tau)
     n = len(seq)
     for i in range(1, n + 1):
@@ -66,6 +66,53 @@ def test_fragments_beyond_key_capacity(rng):
     for sigma, tau in ((4, 25), (256, 6)):
         seq = periodic_mosaic(rng, 160, sigma)
         _check_all_pairs(seq, tau=tau)
+
+
+def _word_taus(n, sigma):
+    """The default tau, the largest whose 3tau symbols fit 62 bits and
+    the smallest whose 3tau symbols pass 64, which lcp_fragments takes."""
+    bits = (sigma - 1).bit_length()
+    return default_tau(n, sigma), 62 // (3 * bits), 64 // (3 * bits) + 1
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 4, 16, 256])
+def test_one_word_compare_at_word_edges(rng, sigma):
+    # n * bits at or next to 63, 64, 65, 127, 128 and 129 bits, so that
+    # the one-word reads near the end reach into the zero padding words;
+    # a text ending in zeros matches the padding past its end
+    bits = (sigma - 1).bit_length()
+    lengths = {f(total, bits) for total in (63, 64, 65, 127, 128, 129)
+               for f in (int.__floordiv__, lambda a, b: -(-a // b))}
+    for n in sorted(lengths):
+        texts = (random_text(rng, n, sigma), periodic_mosaic(rng, n, sigma),
+                 random_text(rng, n - n // 3, sigma) + [0] * (n // 3))
+        for seq in texts:
+            for tau in _word_taus(n, sigma):
+                _check_all_pairs(seq, tau, sigma)
+
+
+def test_scalar_query_compares_one_word(monkeypatch, rng):
+    # at the default tau, head and tail read one word a side; a tau whose
+    # 3tau symbols pass 64 bits still goes through lcp_fragments
+    def refuse(*args):
+        raise RuntimeError("lcp_fragments called")
+
+    n, sigma = 3000, 4
+    seq = _repetitive_text(rng, n, sigma)
+    pt = pack(seq, sigma)
+    idx = LceIndex(pt)
+    gen = np.random.default_rng(25)
+    i, j = gen.integers(1, n + 1, size=(2, 2000))
+    # half the pairs compare two copies of the base at one offset
+    j[1000:] = (i[1000:] - 1 + n // 8 * gen.integers(1, 8, 1000)) % n + 1
+    cap = 3 * idx.tau
+    assert np.sum(packed_text.lcp_fragments_many(pt, i, j, cap) == cap) > 500
+    wide = LceIndex(pt, _word_taus(n, sigma)[2])
+    monkeypatch.setattr(lce_index, "lcp_fragments", refuse)
+    for a, b in zip(i.tolist(), j.tolist()):
+        assert idx.query(a, b) == naive_lce(seq, a, b), (a, b)
+    with pytest.raises(RuntimeError, match="lcp_fragments called"):
+        wide.query(1, 2)
 
 
 def test_unary_frozen():

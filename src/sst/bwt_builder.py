@@ -7,13 +7,19 @@ the same on every run; meta["sync_size"] is its size.  One encoding
 of the text, window_keys(pt, 3tau, n), the base-sigma key of every
 window T[i..i+3tau), serves all three stages: the set's tau-window keys
 are its first tau digits, the reduced string ranks the members' rows,
-and the emission sort's windows below are the keys divided by sigma in
-place.  Every other suffix T[i..] sorts first by its window
-T[i..i+3tau-1), cut at the text end, then by the window length.  By consistency, positions that share a
+and the emission sort's column is built over the keys in place.  Every
+suffix T[i..] sorts first by its window T[i..i+3tau-1), cut at the text
+end, then by the window length.  By consistency, positions that share a
 full prefix T[i..succ(i)+2tau) with succ(i) less than tau ahead share
 the offset succ(i) - i, so the rank of succ(i) among the sorted
 synchronizing suffixes breaks their ties.  One sort of all n positions
-on (window, length, rank) thus emits the transform.  A position with no
+on (window, length, rank) thus emits the transform.  While the three
+fields fit 62 bits they pack into one int64 per position in the keys'
+own buffer, with the ranks in int32 and the lengths a constant fixed on
+the last 3tau-2 rows, so that besides that buffer only the sort's own
+arrays hold 8 bytes a position.  The output is gathered through the
+sorted rows from a copy of the text rotated by one symbol, in the
+text's own dtype.  A position with no
 synchronizing position within tau ahead either starts a short suffix at
 the text end, which its window decides, or, by density, a highly
 periodic window of length 3tau-1.  Those windows form one block per
@@ -31,7 +37,7 @@ packed pipeline.
 import numpy as np
 
 from .lce_index import resolve_tau
-from .packed_text import pack_columns, sort_rows, window_keys
+from .packed_text import _drop_digits, pack_columns, sort_rows, window_keys
 from .suffix_core import SuffixArrayIndex
 from .sync_set import construct
 from .sync_sort import sort_sync_suffixes
@@ -57,28 +63,48 @@ class BwtResult:
 
 
 def _sort_keys(pt, tau, s, rank, keys):
-    """Per-position sort keys: window, window length, successor rank.
+    """The emission sort's columns and the flags of its block rows.
 
+    Each row i sorts by its window, the window's length and its tie.
     The window is T[i..i+3tau-1) cut at the text end, as a base-sigma key
     zero-padded to 3tau-1 digits: keys, the 3tau-window keys of every
-    start, divided by sigma in place.  The rank is that of succ(i) among
-    the sorted synchronizing suffixes when succ(i) lies less than tau
-    ahead, and 0 otherwise; rank holds the members' ranks and a trailing
-    0.
+    start, divided by sigma in place.  The length is min(3tau-1,
+    n+1-i), 3tau-1 on all but the last 3tau-2 rows.  The tie is the rank
+    of succ(i) among the sorted synchronizing suffixes when succ(i) lies
+    less than tau ahead, and 0 otherwise; rank holds the members' ranks,
+    from 1, and a trailing 0.  The ties come from one np.repeat: before
+    each member, its rank on the last min(gap, tau) rows of the gap from
+    the previous member and 0 on the rest.  While the three fields fit
+    one int64, the column is ((window * 3tau + length) * (|S|+1) + tie),
+    built in place over keys; wider fields take pack_columns.  A row is
+    a block row when its tie is 0 and its window full.
     """
-    n = pt.n
+    n, m = pt.n, len(s)
     cap = 3 * tau - 1
-    key = np.floor_divide(keys, pt.sigma, out=keys)
-    pos = np.arange(1, n + 1, dtype=np.int64)
-    # k[i - 1] indexes succ(i) among the members, len(s) past the last
-    k = np.repeat(np.arange(len(s) + 1),
-                  np.diff(s.positions, prepend=0, append=n))
-    # past the last member the successor reads as n + tau, never near
-    succ = np.empty(len(s) + 1, dtype=np.int64)
-    succ[:-1] = s.positions
-    succ[-1] = n + tau
-    tie = np.where(succ[k] - pos < tau, rank[k], 0)
-    return key, np.minimum(cap, n + 1 - pos), tie
+    key = _drop_digits(keys, pt.sigma, 1, keys)
+    gaps = np.diff(s.positions, prepend=0)
+    near = np.minimum(gaps, tau)
+    counts = np.empty(2 * m + 1, dtype=np.int64)
+    counts[:-1:2] = gaps - near
+    counts[1::2] = near
+    counts[-1] = n - gaps.sum()
+    vals = np.zeros(2 * m + 1, dtype=rank.dtype)
+    vals[1::2] = rank[:-1]
+    tie = np.repeat(vals, counts)
+    block = tie == 0
+    block[n - cap + 1:] = False
+    # cap - length on the last cap - 1 rows
+    short = np.arange(1, cap)
+    if pt.sigma ** cap * (cap + 1) * (m + 1) > 1 << 62:
+        length = np.full(n, cap, dtype=np.uint8)
+        length[n - cap + 1:] -= short.astype(np.uint8)
+        return pack_columns([(key, pt.sigma ** cap), (length, cap + 1),
+                             (tie, m + 1)], n), block
+    key *= (cap + 1) * (m + 1)
+    key += cap * (m + 1)
+    key[n - cap + 1:] -= short * (m + 1)
+    key += tie
+    return [key], block
 
 
 def _emit_blocks(pt, tau, s, isa, runs, keys):
@@ -86,30 +112,36 @@ def _emit_blocks(pt, tau, s, isa, runs, keys):
 
     isa holds the members' ranks among the sorted synchronizing
     suffixes, runs the find_runs arrays of the set, and keys the
-    3tau-window keys of every start, which the sort keys overwrite.
-    Returns the output array and the slot of the whole-text suffix.
+    3tau-window keys of every start, which the sort column overwrites.
+    The output gathers through the sorted rows from the text rotated by
+    one symbol, in the text's own dtype.  Returns the output array and
+    the slot of the whole-text suffix.
     """
-    n = pt.n
+    n, m = pt.n, len(s)
     cap = 3 * tau - 1
-    rank = np.zeros(len(s) + 1, dtype=np.int64)
+    rank = np.zeros(m + 1, dtype=np.int32 if m < 1 << 31 else np.int64)
     rank[:-1] = isa
-    key, length, tie = _sort_keys(pt, tau, s, rank, keys)
+    cols, block = _sort_keys(pt, tau, s, rank, keys)
     # rows tie only inside periodic blocks, which are re-sorted below,
     # so the sort need not be stable
-    sa = sort_rows(pack_columns(
-        [(key, pt.sigma ** cap), (length, cap + 1),
-         (tie, len(s) + 1)], n))
+    sa = sort_rows(cols)
+    slots = np.flatnonzero(block[sa])
+    del block
 
     # far from every member, a full window is highly periodic (density);
     # rows sharing such a label share the run's period and phase, so they
     # order by the reduced string's d = type * (n - L), L the distance to
     # the break, then the suffix at the member b = e - 2tau + 1 after it,
     # which the equal T[i..e) leaves
-    slots = np.flatnonzero(((tie == 0) & (length == cap))[sa])
     if len(slots):
         rows = sa[slots]
-        skey = key[rows]
-        seg = np.concatenate([[0], np.cumsum(skey[1:] != skey[:-1])])
+        # a label's block rows are adjacent in sa, and their columns
+        # differ only in the window, so a new label is a changed column
+        new = np.zeros(len(rows), dtype=bool)
+        for col in cols:
+            vals = col[rows]
+            new[1:] |= vals[1:] != vals[:-1]
+        seg = np.cumsum(new)
         prev, j, e, _, typ = runs
         r = np.searchsorted(j, rows + 1, side="right") - 1
         if np.any(r < 0) or np.any(e[r] - rows - 1 < cap):
@@ -121,9 +153,9 @@ def _emit_blocks(pt, tau, s, isa, runs, keys):
         brank = rank[prev[r] + 1]
         sa[slots] = rows[sort_rows(pack_columns(
             [(seg, int(seg[-1]) + 1), (d + n, 2 * n + 1),
-             (brank, len(s) + 1)], len(rows)))]
-    bwt = pt.symbols[sa - 1]
-    return bwt, int(np.flatnonzero(sa == 0)[0]) + 1
+             (brank, m + 1)], len(rows)))]
+    bwt = np.roll(pt.symbols[:n], 1)[sa]
+    return bwt, int(sa.argmin()) + 1
 
 
 def _naive_result(pt, tau):
@@ -156,7 +188,10 @@ def build_bwt(pt, tau=None, force_naive=False):
     s = construct(pt, tau, mode="random", seed=0, keys=keys)
     tp, reduced = sort_sync_suffixes(pt, s, with_lcp=False,
                                      keys=keys[s.positions - 1])
-    bwt, primary = _emit_blocks(pt, tau, s, reduced.isa, tp.runs, keys)
+    isa, runs = reduced.isa, tp.runs
+    # the reduced string and its suffix array are done with
+    del tp, reduced
+    bwt, primary = _emit_blocks(pt, tau, s, isa, runs, keys)
     meta = {"n": n, "sigma": pt.sigma, "tau": tau,
             "primary_index": primary, "sync_size": len(s),
             "pipeline": "sync"}

@@ -8,6 +8,7 @@ flags produce identical outputs.
 import argparse
 import functools
 import json
+import resource
 import sys
 import time
 
@@ -226,13 +227,17 @@ def _bench_text(n, seed):
 
 
 def _time_call(fn, repeat):
-    """Best time over repeat calls, and the last call's result."""
+    """Best time over repeat calls, the minor page faults per call (the
+    process's ru_minflt over the calls, averaged), and the last call's
+    result."""
     best = float("inf")
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(repeat):
         t0 = time.perf_counter()
         out = fn()
         best = min(best, time.perf_counter() - t0)
-    return best, out
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return best, round(faults / repeat), out
 
 
 def cmd_bench(args):
@@ -275,8 +280,9 @@ def cmd_bench(args):
         ]
         timed = {}
         for name, fn, size_of in tasks:
-            timed[name], out = _time_call(fn, args.repeat)
-            row = {"n": n, "task": name, "seconds": timed[name], "tau": tau}
+            timed[name], faults, out = _time_call(fn, args.repeat)
+            row = {"n": n, "task": name, "seconds": timed[name], "tau": tau,
+                   "minor_faults": faults}
             if size_of is not None:
                 row["sync_size"] = int(size_of(out))
             rows.append(row)

@@ -13,7 +13,8 @@ variant covers values up to the padded array length.
 import numpy as np
 
 from .bwt_builder import build_bwt
-from .packed_text import _int_values, _low_bits, pack, window_keys
+from .packed_text import (_int_values, _low_bits, _unsigned_dtype, pack,
+                          window_keys)
 
 
 class ReductionText:
@@ -122,15 +123,24 @@ def _slice_blocks(rt, depth, run, force_naive):
         raise ValueError("pattern keys limited to 62 bits")
     bwt = np.asarray(build_bwt(pt, force_naive=force_naive).bwt,
                      dtype=np.uint8)
-    keys = window_keys(pt, L, n) * (L + 1) + np.minimum(
-        L, np.arange(n, 0, -1))
+    # window * (L + 1) + length in place, the length min(L, n - i) short
+    # of L only on the last L - 1 rows, then sorted in the narrowest
+    # dtype that holds every key and every bound searched below
+    keys = window_keys(pt, L, n)
+    keys *= L + 1
+    keys += L
+    tail = min(L - 1, n)
+    keys[n - tail:] -= np.arange(L - tail, L)
+    keys = keys.astype(_unsigned_dtype((L + 1) << L))
     keys.sort()
     d = np.repeat(np.arange(depth), 1 << np.arange(depth))
     w = np.arange(len(d)) - ((1 << d) - 1)
     ell = d + 1 + run
     pat = (w << (run + 1)) | ((1 << run) - 1)
-    lo = np.searchsorted(keys, (pat << (L - ell)) * (L + 1) + ell)
-    hi = np.searchsorted(keys, ((pat + 1) << (L - ell)) * (L + 1))
+    lo = np.searchsorted(keys, ((pat << (L - ell)) * (L + 1) + ell).astype(
+        keys.dtype))
+    hi = np.searchsorted(keys, (((pat + 1) << (L - ell)) * (L + 1)).astype(
+        keys.dtype))
     if int((hi - lo).sum()) != rt.m * depth:
         raise AssertionError("block sizes do not cover the array")
     full = np.flatnonzero(hi > lo)

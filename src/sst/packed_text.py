@@ -231,6 +231,22 @@ def window_keys(pt, length, count):
     return _doubled_keys(sym, length, pt.sigma)
 
 
+def _drop_digits(keys, sigma, count, out):
+    """Base-sigma keys without their last count digits, keys //
+    sigma**count, written to out: a right shift when sigma is a power
+    of two."""
+    bits = _bits_for(sigma)
+    if sigma == 1 << bits:
+        return np.right_shift(keys, count * bits, out=out, casting="unsafe")
+    return np.floor_divide(keys, sigma ** count, out=out, casting="unsafe")
+
+
+def _unsigned_dtype(top):
+    """The narrowest unsigned dtype whose maximum is at least top."""
+    return next(dt for dt in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if top <= np.iinfo(dt).max)
+
+
 def pack_columns(fields, count):
     """Mixed-radix keys of `count` rows as a list of int64 columns.
 

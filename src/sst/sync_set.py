@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packed_text import (_column_symbols, dense_ranks, doubled_classes,
-                          window_keys)
+from .packed_text import (_column_symbols, _drop_digits, _unsigned_dtype,
+                          dense_ranks, doubled_classes, window_keys)
 
 
 @dataclass(frozen=True)
@@ -153,24 +153,25 @@ def _window_min(a, width):
     return np.minimum(m[:len(a) - width + 1], m[width - span:])
 
 
-# the masked value of Q starts, above every id
-_ABOVE_IDS = np.iinfo(np.int64).max
-
-
 def construct_from_ids(pt, tau, ids, q):
     """Evaluate the window-minimum rule for one id per window start;
-    the minimum skips the starts of the Q mask q.  Ids lie in
-    [0, 2**63 - 1)."""
+    the minimum skips the starts of the Q mask q, which it reads as the
+    maximum of the ids' dtype.  Unsigned ids keep their dtype, any
+    others are taken as int64; either way they lie below that maximum,
+    in [0, 2**63 - 1) for int64."""
     n = pt.n
-    ids = np.asarray(ids, dtype=np.int64)
-    if len(ids) and (ids.min() < 0 or ids.max() >= _ABOVE_IDS):
+    ids = np.asarray(ids)
+    if ids.dtype.kind != "u":
+        ids = ids.astype(np.int64, copy=False)
+    above = ids.dtype.type(np.iinfo(ids.dtype).max)
+    if len(ids) and (ids.min() < 0 or ids.max() >= above):
         raise ValueError("identifier assignment is incomplete")
     nmem = n - 2 * tau + 1
     if nmem <= 0:
         return SyncSet(tau, n, np.zeros(0, dtype=np.int64))
-    wmin = _window_min(np.where(q, _ABOVE_IDS, ids), tau + 1)
+    wmin = _window_min(np.where(q, above, ids), tau + 1)
     member = (wmin == ids[:nmem]) | (wmin == ids[tau:tau + nmem])
-    return SyncSet(tau, n, np.flatnonzero(member).astype(np.int64) + 1)
+    return SyncSet(tau, n, np.flatnonzero(member) + 1)
 
 
 def _class_flags(class_of, psets):
@@ -203,17 +204,22 @@ def _bijection(keys, w, seed):
 
     Each of three rounds xors a constant, multiplies by an odd number
     mod 2**w and xors in the value shifted right.  Every step inverts
-    mod 2**w, so distinct keys get distinct values.  A uint64 array is
-    mapped in place; any other is copied first.
+    mod 2**w, so distinct keys get distinct values, and since 2**w
+    divides the dtype's modulus, every unsigned dtype of at least w bits
+    gives the same values.  A uint32 array with w <= 32 and a uint64
+    array are mapped in place; any other is copied to uint64 first.
     """
-    mask = np.uint64((1 << w) - 1)
-    x = keys.astype(np.uint64, copy=False)
+    x = keys
+    if x.dtype != np.uint32 or w > 32:
+        x = x.astype(np.uint64, copy=False)
+    word = x.dtype.type
+    mask = word((1 << w) - 1)
     for c, a, shift in _bijection_rounds(w, seed):
-        x ^= c
-        x *= a
+        x ^= word(c)
+        x *= word(a)
         x &= mask
-        x ^= x >> shift
-    return x.view(np.int64)
+        x ^= x >> word(shift)
+    return x
 
 
 def construct_randomized(pt, tau, seed=0, keys=None):
@@ -224,7 +230,10 @@ def construct_randomized(pt, tau, seed=0, keys=None):
     while that fits a word with the flag above it; past that it is the
     dense rank of the window from build_partition, w its bit length.
     keys, if given, are the one-column keys window_keys(pt, 3tau, n),
-    and the base-sigma keys are their first tau digits.
+    and the base-sigma keys are their first tau digits, a right shift
+    when sigma is a power of two.  The bijection runs in uint32 while
+    w <= 32, and the window minimum in the narrowest unsigned dtype whose
+    maximum, the Q mask, lies above every id of w + 1 bits.
     """
     if not 1 <= tau <= pt.n:
         raise ValueError("tau out of range")
@@ -232,14 +241,20 @@ def construct_randomized(pt, tau, seed=0, keys=None):
     nwin = len(psets.b)
     w = tau * pt.bits_per_symbol
     if keys is not None:
-        key = keys[:nwin] // pt.sigma ** (2 * tau)
-    elif w <= 61:
-        key = window_keys(pt, tau, nwin)
+        # 3tau * bits <= 62, so the tau digits take at most 20 bits
+        key = _drop_digits(keys[:nwin], pt.sigma, 2 * tau,
+                           np.empty(nwin, dtype=np.uint32))
     else:
-        key = build_partition(pt, tau)
-        w = max(1, int(key.max()).bit_length())
+        if w <= 61:
+            key = window_keys(pt, tau, nwin)
+        else:
+            key = build_partition(pt, tau)
+            w = max(1, int(key.max()).bit_length())
+        key = key.astype(np.uint32) if w <= 32 else key.view(np.uint64)
     # key is this function's own array, so the bijection maps it in place
-    ids = _bijection(key.view(np.uint64), w, seed)
+    ids = _bijection(key, w, seed).astype(_unsigned_dtype(1 << (w + 1)),
+                                         copy=False)
+    del key
     np.add(ids, 1 << w, out=ids, where=~psets.b)
     return construct_from_ids(pt, tau, ids, psets.q)
 

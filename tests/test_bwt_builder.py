@@ -340,6 +340,23 @@ def test_naive_bwt_peak_memory():
     assert peak <= 66 * n, peak / n
 
 
+def test_sync_bwt_peak_memory():
+    # the emission column is built in place over the 3tau-window keys,
+    # with int32 ties and narrow ids in the construction, so the window
+    # keys' doubling sets the peak, about 25 bytes a symbol; the int64
+    # ties, lengths and packed column of the emission read 56
+    n = 1 << 18
+    pt = pack(np.random.default_rng(2).integers(0, 2, n).astype(np.uint8), 2)
+    tracemalloc.start()
+    try:
+        res = build_bwt(pt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.meta["pipeline"] == "sync"
+    assert peak <= 37 * n, peak / n
+
+
 @pytest.mark.parametrize("sigma", [1 << 33, 1 << 41])
 def test_round_trip_huge_alphabet(sigma):
     # invert_bwt counts the symbols below the primary slot's symbol

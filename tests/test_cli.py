@@ -384,6 +384,10 @@ def test_bench_json(tmp_path, capsys):
             "naive_over_sync_ratio"} <= tasks
     assert all(r["n"] == 4096 for r in rows)
     assert all(r["tau"] == default_tau(4096, 2) for r in rows)
+    # every timed call reports its minor page faults
+    faults = {r["task"]: r.get("minor_faults") for r in rows}
+    assert all(isinstance(f, int) and f >= 0 for task, f in faults.items()
+               if task != "naive_over_sync_ratio"), faults
     sizes = {r["task"]: r.get("sync_size") for r in rows}
     assert sizes["sync_construct_random"] == sizes["lce_build"] \
         == sizes["build_bwt_sync"] > 0

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from sst import sync_set
 from sst.packed_text import pack, window_keys
 from sst.sync_set import (SyncSet, _bijection, _bijection_rounds, _scores,
                           _window_min, build_partition, compute_q_and_b,
@@ -381,6 +382,65 @@ def test_bijection_permutes_the_key_range():
         got = _bijection(keys, w, 3)
         assert got.min() >= 0 and got.max() < 1 << w
         assert _unmix(got.tolist(), w, 3) == keys.tolist(), w
+
+
+def test_bijection_in_uint32_matches_uint64():
+    gen = np.random.default_rng(32)
+    for w in range(1, 33):
+        keys = np.concatenate([[0, 1, (1 << w) - 1], gen.integers(
+            0, 1 << w, size=300, dtype=np.uint64)]).astype(np.uint64)
+        for seed in (0, 7):
+            narrow = keys.astype(np.uint32)
+            got = _bijection(narrow, w, seed)
+            assert got is narrow and got.dtype == np.uint32, w
+            want = _bijection(keys.copy(), w, seed)
+            assert np.array_equal(got, want), (w, seed)
+
+
+def _int64_random_set(pt, tau, seed):
+    """construct_randomized's set through int64 ids, the mask 2**63 - 1."""
+    psets = compute_q_and_b(pt, tau)
+    w = tau * pt.bits_per_symbol
+    if w <= 61:
+        key = window_keys(pt, tau, len(psets.b))
+    else:
+        key = build_partition(pt, tau)
+        w = max(1, int(key.max()).bit_length())
+    ids = _bijection(key.astype(np.uint64), w, seed).astype(np.int64)
+    ids += np.where(psets.b, 0, 1 << w)
+    return construct_from_ids(pt, tau, ids, psets.q)
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 4, 16, 255, 256])
+def test_narrow_ids_match_the_int64_path(rng, sigma, monkeypatch):
+    # the texts and taus of test_random_sets_valid_up_to_the_word_limit
+    bits = max(1, (sigma - 1).bit_length())
+    n = 2 * (61 // bits + 1) + 40
+    taus = {1, 2, 3, 62 // (3 * bits), 61 // bits, 61 // bits + 1}
+    dtypes = []
+
+    def spy(pt, tau, ids, q):
+        dtypes.append(ids.dtype)
+        return construct_from_ids(pt, tau, ids, q)
+
+    for kind, seq in _texts(rng, n, sigma).items():
+        pt = pack(seq, sigma)
+        for tau in sorted(taus):
+            seed = rng.randrange(100)
+            want = _int64_random_set(pt, tau, seed).positions
+            with monkeypatch.context() as m:
+                m.setattr(sync_set, "construct_from_ids", spy)
+                got = construct_randomized(pt, tau, seed=seed)
+                if 3 * tau * bits <= 62:
+                    keyed = construct_randomized(
+                        pt, tau, seed=seed, keys=window_keys(pt, 3 * tau, n))
+                    assert np.array_equal(keyed.positions, want), (kind, tau)
+            assert np.array_equal(got.positions, want), (kind, tau)
+            # the narrowest unsigned dtype whose maximum, the Q mask,
+            # lies above every id of w + 1 bits
+            if tau * bits <= 61:
+                width = max(8, 1 << (tau * bits + 1).bit_length())
+                assert np.iinfo(dtypes[-1]).bits == width, (kind, tau)
 
 
 def _texts(rng, n, sigma):

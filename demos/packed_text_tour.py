@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sst.packed_text import lcp_fragments, pack, window_keys
+from sst.packed_text import lcp_fragments_many, pack, window_keys
 
 # pack stores ceil(log2 sigma) bits per symbol inside 64-bit words
 text = "abaababaabaab"
@@ -25,7 +25,8 @@ keys = window_keys(pt, 3, pt.n - 2)
 order = np.argsort(keys, kind="stable") + 1
 print("3-windows sorted:", [text[i - 1:i + 2] for i in order[:5]], "...")
 
-# fragment LCP compares word-sized chunks, so long matches are cheap
-hit = lcp_fragments(pt, 1, 4, cap=8)
-print("lcp of suffixes 1 and 4 capped at 8:", hit)
+# fragment LCP compares 64-bit windows of the packed words, so long
+# matches are cheap; it takes arrays of position pairs and caps
+hit = lcp_fragments_many(pt, [1, 2], [4, 7], cap=8)
+print("lcp of suffixes 1, 4 and 2, 7 capped at 8:", hit.tolist())
 

@@ -1,8 +1,7 @@
 """String synchronizing sets with LCE, BWT, and counting applications."""
 
 from .packed_text import (PackedText, dense_ranks, doubled_classes,
-                          lcp_fragments, lcp_fragments_many, pack,
-                          pack_columns, window_keys)
+                          lcp_fragments_many, pack, pack_columns, window_keys)
 from .suffix_core import SuffixArrayIndex, build_suffix_array
 from .sync_set import (SyncSet, compute_q_and_b, construct,
                        construct_deterministic, construct_randomized,

@@ -206,6 +206,8 @@ def cmd_inversions(args):
     if any(v < 0 for v in a):
         raise CliError("values must be nonnegative")
     if args.variant == "naive":
+        if args.k is not None:
+            raise CliError("--k sets the small variant's width only")
         count = oracles.fenwick_inversions(a)
     else:
         # the count depends only on the order of the values, so the

@@ -103,21 +103,23 @@ def _label_string(wval, wlen):
     return format(wval, "0%db" % wlen)[::-1] if wlen else ""
 
 
-def _slice_blocks(rt, depth, run, force_naive):
-    """Cut every wavelet bitvector out of the transform of rt.bits.
+def _blocks_small(rt, force_naive):
+    """Cut every wavelet bitvector out of the transform of rt.bits, for
+    both variants: the levels are the k = rt.k value bits (log m in the
+    general variant), and each entry continues 0 1 1^k.
 
-    The node whose label w has d < depth bits owns the suffixes that
-    start with P(w) = w' 0 1^run, w' being w reversed since values are
+    The node whose label w has d < k bits owns the suffixes that start
+    with P(w) = w' 0 1^(k+1), w' being w reversed since values are
     written least significant bit first.  Those suffixes sort by the
     entry index that follows, and the symbols before them are bit d of
     the values under the node, so the node's bitvector is the transform
-    over P(w)'s suffix range.  One sort of the
-    windows of length L = depth + run, with the window length as a tie
-    break, holds every such range: a suffix shorter than P(w) that is a
-    prefix of it sorts before the range.
+    over P(w)'s suffix range.  One sort of the windows of length 2k + 1,
+    with the window length as a tie break, holds every such range: a
+    shorter suffix that is a prefix of P(w) sorts before the range.
     """
     pt = rt.bits
     n = pt.n
+    depth, run = rt.k, rt.k + 1
     L = depth + run
     if (L + 1) << L > 1 << 62:
         raise ValueError("pattern keys limited to 62 bits")
@@ -150,15 +152,11 @@ def _slice_blocks(rt, depth, run, force_naive):
         hi[full].tolist())}
 
 
-def _blocks_small(rt, force_naive):
-    # levels are the k value bits; each entry continues 0 1 1^k
-    return _slice_blocks(rt, rt.k, rt.k + 1, force_naive)
-
-
-def _blocks_general(rt, force_naive):
-    # levels are the log m value bits; each entry continues 0 1 1^logm,
-    # so the patterns take the small variant's shape with k = log m
-    return _slice_blocks(rt, rt.k, rt.k + 1, force_naive)
+def _check_variant(variant, k):
+    if variant not in ("small", "general"):
+        raise ValueError("unknown variant %r" % (variant,))
+    if variant == "general" and k is not None:
+        raise ValueError("k sets the small variant's width only")
 
 
 def extract_wavelet_blocks(a, variant="small", k=None, force_naive_bwt=False):
@@ -166,17 +164,17 @@ def extract_wavelet_blocks(a, variant="small", k=None, force_naive_bwt=False):
 
     Returns a dict from node label strings to bit arrays.  Labels absent
     from the dict have empty bitvectors.  The small variant's width k
-    defaults to the bit length of the largest value, at least 1.
+    defaults to the bit length of the largest value, at least 1; the
+    general variant takes no k.
     """
+    _check_variant(variant, k)
     if variant == "small":
         if k is None:
             k = max(1, int(_int_values(a).max(initial=0)).bit_length())
         rt = build_reduction_small(a, k)
-        return _blocks_small(rt, force_naive_bwt)
-    if variant == "general":
+    else:
         rt = build_reduction_general(a)
-        return _blocks_general(rt, force_naive_bwt)
-    raise ValueError("unknown variant %r" % (variant,))
+    return _blocks_small(rt, force_naive_bwt)
 
 
 def count_inversions_via_bwt(a, variant="small", k=None,
@@ -190,8 +188,7 @@ def count_inversions_via_bwt(a, variant="small", k=None,
     >>> count_inversions_via_bwt([2, 0, 3, 1])
     3
     """
-    if variant not in ("small", "general"):
-        raise ValueError("unknown variant %r" % (variant,))
+    _check_variant(variant, k)
     if len(_int_values(a)) <= 1:
         return 0
     blocks = list(extract_wavelet_blocks(

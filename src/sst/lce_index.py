@@ -13,11 +13,11 @@ successor of i is found by a binary search of the members, which a
 directory of 64-position buckets bounds to the at most 64 members in
 the bucket of i - 1.  Highly periodic stretches never contain
 synchronizing positions; the successor offsets alone determine the
-answer there.  While 3tau * bits <= 64, as at every default tau, each
-bounded comparison reads one 64-bit window a side from the packed
-words and takes the lowest set bit of their xor.  The build binds the
-state a scalar query reads to a closure, self.query, so that a call
-reads no attribute.
+answer there.  Each bounded comparison reads one 64-bit window a side
+from the packed words and takes the lowest set bit of their xor; past
+64 bits, which no default tau reaches, matching windows lead to the
+next ones.  The build binds the state a scalar query reads to a
+closure, self.query, so that a call reads no attribute.
 """
 
 from bisect import bisect_right
@@ -26,7 +26,7 @@ from operator import index
 
 import numpy as np
 
-from .packed_text import lcp_fragments, lcp_fragments_many, window_keys
+from .packed_text import _bits_for, lcp_fragments_many, window_keys
 from .suffix_core import _build_sparse_min, _range_min, _range_min_many
 from .sync_set import SyncSet, check_tau, construct
 from .sync_sort import sort_sync_suffixes
@@ -61,7 +61,7 @@ def default_tau(n, sigma):
     >>> default_tau(1 << 20, 2), default_tau(1 << 14, 4), default_tau(6, 2)
     (13, 7, 3)
     """
-    bits = max(1, int(sigma - 1).bit_length())
+    bits = _bits_for(sigma)
     num, den = SYNC_DENSITY.as_integer_ratio()
 
     def fits(tau):
@@ -139,10 +139,9 @@ class LceIndex:
         n, b, wl = pt.n, pt.bits_per_symbol, pt._wlist
         tau = self.tau
         cap = 3 * tau
-        # starts <= last have all cap symbols, which full masks
+        # starts <= last have all cap symbols, which full masks up to 64 bits
         last = n - cap + 1
-        full = (1 << cap * b) - 1
-        wide = cap * b > 64
+        full = (1 << min(cap * b, 64)) - 1
         succ, first = self._succ_list, self._first
         rank, rmq = self._rank.item, self._rmq
         nprime = len(self.sync)
@@ -152,21 +151,33 @@ class LceIndex:
             """T[i..] vs T[j..], i != j, capped at cap: one 64-bit window
             a side from bit (i - 1) * b, the trailing zero words of _wlist
             covering the text end, then the lowest set bit of the xor."""
-            if wide:
-                return lcp_fragments(pt, i, j, cap)
             p = (i - 1) * b
             k = p >> 6
             x = (wl[k] | wl[k + 1] << 64) >> (p & 63)
-            p = (j - 1) * b
-            k = p >> 6
-            x ^= (wl[k] | wl[k + 1] << 64) >> (p & 63)
+            q = (j - 1) * b
+            k = q >> 6
+            x ^= (wl[k] | wl[k + 1] << 64) >> (q & 63)
             if i <= last and j <= last:
                 x &= full
                 lim = cap
             else:
                 lim = n + 1 - (i if i > j else j)
-                x &= (1 << lim * b) - 1
-            return ((x & -x).bit_length() - 1) // b if x else lim
+                x &= (1 << lim * b) - 1 & full
+            if x:
+                return ((x & -x).bit_length() - 1) // b
+            # the first 64 of lim * b > 64 bits match; full keeps all 64
+            end = p + lim * b
+            while p + 64 < end:
+                p += 64
+                q += 64
+                k = p >> 6
+                x = (wl[k] | wl[k + 1] << 64) >> (p & 63)
+                k = q >> 6
+                x = (x ^ (wl[k] | wl[k + 1] << 64) >> (q & 63)) & full
+                if x:
+                    p += (x & -x).bit_length() - 1
+                    return p // b - i + 1 if p < end else lim
+            return lim
 
         def query(i, j):
             """LCE of the suffixes starting at 1-based positions i and j."""

@@ -93,53 +93,9 @@ def pack(symbols, sigma):
     return PackedText(words, n, sigma, bits, store)
 
 
-def _read_bits(wlist, pos, k):
-    w, off = pos >> 6, pos & 63
-    val = wlist[w] >> off
-    got = WORD_BITS - off
-    if got < k:
-        val |= wlist[w + 1] << got
-    return val & ((1 << k) - 1)
-
-
-def lcp_fragments(pt, i, j, cap):
-    """Length of the longest common prefix of T[i..] and T[j..], capped.
-
-    The comparison runs on the packed words a chunk at a time, so the cost
-    is proportional to the number of words inspected rather than to the
-    number of matching symbols.
-    """
-    n = pt.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError("positions out of range")
-    limit = min(cap, n - i + 1, n - j + 1)
-    if limit <= 0:
-        return 0
-    if i == j:
-        return limit
-    b = pt.bits_per_symbol
-    wl = pt._wlist
-    p1 = (i - 1) * b
-    p2 = (j - 1) * b
-    remaining = limit * b
-    matched = 0
-    while remaining > 0:
-        take = WORD_BITS if remaining > WORD_BITS else remaining
-        c1 = _read_bits(wl, p1, take)
-        c2 = _read_bits(wl, p2, take)
-        if c1 != c2:
-            diff = c1 ^ c2
-            low = (diff & -diff).bit_length() - 1
-            return (matched + low) // b
-        matched += take
-        p1 += take
-        p2 += take
-        remaining -= take
-    return limit
-
-
 def lcp_fragments_many(pt, i, j, cap):
-    """lcp_fragments over arrays of 1-based positions, as an int64 array.
+    """Longest common prefixes of T[i..] and T[j..], capped at cap, over
+    arrays of 1-based positions, as an int64 array.
 
     cap is one bound or an array of them.  Each round reads the next 64
     bits of every pair that still matches, so the rounds number the most

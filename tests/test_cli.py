@@ -367,6 +367,17 @@ def test_inversions_variants(tmp_path, capsys):
         assert status == 0 and out.strip() == "3"
 
 
+@pytest.mark.parametrize("variant", ["general", "naive"])
+def test_inversions_k_outside_small(tmp_path, capsys, variant):
+    # --k sets the small variant's width; the others refuse it
+    arr = tmp_path / "a.txt"
+    arr.write_text("3 1 2 0 5 4\n")
+    status, out, err = _run(capsys, "inversions", "--input", str(arr),
+                            "--variant", variant, "--k", "1")
+    assert status == 2 and not out
+    assert "small variant" in err
+
+
 def test_inversions_bad_token(tmp_path, capsys):
     arr = tmp_path / "a.txt"
     arr.write_text("1 two 3\n")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sst.inversions import (ReductionText, _blocks_general,
+from sst.inversions import (ReductionText, _blocks_small,
                             build_reduction_general, build_reduction_small,
                             count_inversions_bits, count_inversions_via_bwt,
                             extract_wavelet_blocks)
@@ -101,7 +101,7 @@ def test_wide_pattern_keys_rejected():
     # the keys would pass 62 bits; the check comes before any transform
     rt = ReductionText(pack([0, 1], 2), 1 << 28, 28, "general")
     with pytest.raises(ValueError):
-        _blocks_general(rt, False)
+        _blocks_small(rt, False)
 
 
 def test_frozen_counts():
@@ -195,6 +195,14 @@ def test_unknown_variant_rejected():
             count_inversions_via_bwt(a, variant="bogus")
     with pytest.raises(ValueError):
         extract_wavelet_blocks([1, 0], variant="bogus")
+    # k is the small variant's width; the general variant refuses it,
+    # also for arrays too short to need the reduction
+    for a in ([3, 1, 2, 0, 5, 4], [1], []):
+        for k in (-7, 1):
+            with pytest.raises(ValueError, match="small variant"):
+                count_inversions_via_bwt(a, "general", k=k)
+    with pytest.raises(ValueError, match="small variant"):
+        extract_wavelet_blocks([3, 1, 2, 0], "general", k=2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sst import lce_index, packed_text
+from sst import packed_text
 from sst.bwt_builder import build_bwt
 from sst.lce_index import LceIndex, default_tau
 from sst.packed_text import pack
@@ -70,7 +70,8 @@ def test_fragments_beyond_key_capacity(rng):
 
 def _word_taus(n, sigma):
     """The default tau, the largest whose 3tau symbols fit 62 bits and
-    the smallest whose 3tau symbols pass 64, which lcp_fragments takes."""
+    the smallest whose 3tau symbols pass 64, where the scalar compare
+    reads on past its first window."""
     bits = (sigma - 1).bit_length()
     return default_tau(n, sigma), 62 // (3 * bits), 64 // (3 * bits) + 1
 
@@ -91,28 +92,46 @@ def test_one_word_compare_at_word_edges(rng, sigma):
                 _check_all_pairs(seq, tau, sigma)
 
 
-def test_scalar_query_compares_one_word(monkeypatch, rng):
-    # at the default tau, head and tail read one word a side; a tau whose
-    # 3tau symbols pass 64 bits still goes through lcp_fragments
-    def refuse(*args):
-        raise RuntimeError("lcp_fragments called")
+class _CountingList(list):
+    """A list that counts the reads of its items."""
 
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+
+def test_scalar_query_compares_one_word(rng):
+    # at the default tau, a head compare that differs in its first
+    # window reads two words a side; at a tau whose 3tau symbols pass
+    # 64 bits, a match past 64 bits reads the next windows
     n, sigma = 3000, 4
     seq = _repetitive_text(rng, n, sigma)
     pt = pack(seq, sigma)
+    pt._wlist = words = _CountingList(pt._wlist)
     idx = LceIndex(pt)
+    wide = LceIndex(pt, _word_taus(n, sigma)[2])
     gen = np.random.default_rng(25)
     i, j = gen.integers(1, n + 1, size=(2, 2000))
     # half the pairs compare two copies of the base at one offset
     j[1000:] = (i[1000:] - 1 + n // 8 * gen.integers(1, 8, 1000)) % n + 1
     cap = 3 * idx.tau
     assert np.sum(packed_text.lcp_fragments_many(pt, i, j, cap) == cap) > 500
-    wide = LceIndex(pt, _word_taus(n, sigma)[2])
-    monkeypatch.setattr(lce_index, "lcp_fragments", refuse)
-    for a, b in zip(i.tolist(), j.tolist()):
+    pairs = list(zip(i.tolist(), j.tolist()))
+    for a, b in pairs:
         assert idx.query(a, b) == naive_lce(seq, a, b), (a, b)
-    with pytest.raises(RuntimeError, match="lcp_fragments called"):
-        wide.query(1, 2)
+    short = [(a, b) for a, b in pairs if seq[a - 1] != seq[b - 1]]
+    long = [(a, b) for a, b in pairs if naive_lce(seq, a, b) * 2 > 64]
+    assert short and long
+    for a, b in short[:20]:
+        words.reads = 0
+        assert idx.query(a, b) == 0
+        assert words.reads == 4, (a, b)
+    for a, b in long[:20]:
+        words.reads = 0
+        assert wide.query(a, b) == naive_lce(seq, a, b)
+        assert words.reads > 4, (a, b)
 
 
 def test_unary_frozen():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sst.packed_text import (_column_symbols, dense_ranks, doubled_classes,
-                             lcp_fragments, lcp_fragments_many, pack,
-                             pack_columns, sort_rows, window_keys)
+                             lcp_fragments_many, pack, pack_columns,
+                             sort_rows, window_keys)
 from sst.reference_oracles import naive_lce
 
 from conftest import periodic_mosaic, random_text
@@ -118,9 +118,14 @@ def test_key_order_is_lex_order(rng):
         assert (a < b) == (seq[i - 1:i + 6] < seq[j - 1:j + 6])
 
 
+def _lcp(pt, i, j, cap):
+    """lcp_fragments_many on one pair, through one-element arrays."""
+    return int(lcp_fragments_many(pt, [i], [j], [cap])[0])
+
+
 def test_lcp_fragments_frozen():
     pt = pack([ord(c) - ord("a") for c in "abaababa"], 2)
-    assert lcp_fragments(pt, 1, 4, 3) == 3
+    assert _lcp(pt, 1, 4, 3) == 3
 
 
 def test_lcp_fragments_matches_naive(rng):
@@ -130,13 +135,12 @@ def test_lcp_fragments_matches_naive(rng):
         for _ in range(150):
             i, j = rng.randrange(1, 121), rng.randrange(1, 121)
             cap = rng.randrange(0, 130)
-            assert lcp_fragments(pt, i, j, cap) == min(
-                cap, naive_lce(seq, i, j))
+            assert _lcp(pt, i, j, cap) == min(cap, naive_lce(seq, i, j))
 
 
 def test_lcp_fragments_self():
     pt = pack([1, 1, 0, 1], 2)
-    assert lcp_fragments(pt, 2, 2, 99) == 3
+    assert _lcp(pt, 2, 2, 99) == 3
 
 
 def test_bulk_keys_matches_extract(rng):
@@ -178,7 +182,7 @@ def test_lcp_fragments_property(seq, data):
     i = data.draw(st.integers(1, len(seq)))
     j = data.draw(st.integers(1, len(seq)))
     cap = data.draw(st.integers(0, 50))
-    assert lcp_fragments(pt, i, j, cap) == min(cap, naive_lce(seq, i, j))
+    assert _lcp(pt, i, j, cap) == min(cap, naive_lce(seq, i, j))
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,10 +197,11 @@ def test_lcp_fragments_many_matches_scalar(sigma, n, seed, data):
                               max_size=40))
     i, j, cap = (np.array([r[t] for r in rows], dtype=np.int64)
                  for t in range(3))
-    want = [lcp_fragments(pt, a, b, c) for a, b, c in rows]
+    # a cap below 0 gives 0, one past n + 1 - max(i, j) gives the LCE
+    want = [max(0, min(c, naive_lce(seq, a, b))) for a, b, c in rows]
     assert lcp_fragments_many(pt, i, j, cap).tolist() == want
     assert lcp_fragments_many(pt, i, j, n).tolist() == [
-        lcp_fragments(pt, a, b, n) for a, b, _ in rows]
+        naive_lce(seq, a, b) for a, b, _ in rows]
     with pytest.raises(IndexError):
         lcp_fragments_many(pt, [1], [n + 1], n)
 

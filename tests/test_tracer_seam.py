@@ -23,6 +23,7 @@ ABSENT = {
     "sync_set.RankBitvector",
     "lce_index.construct_packed_fast",
     "inversions.count_freq",
+    "inversions._blocks_general",
 }
 
 

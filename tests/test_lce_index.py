@@ -122,7 +122,8 @@ def test_scalar_query_compares_one_word(rng):
     for a, b in pairs:
         assert idx.query(a, b) == naive_lce(seq, a, b), (a, b)
     short = [(a, b) for a, b in pairs if seq[a - 1] != seq[b - 1]]
-    long = [(a, b) for a, b in pairs if naive_lce(seq, a, b) * 2 > 64]
+    long = [(a, b) for a, b in pairs
+            if naive_lce(seq, a, b) * pt.bits_per_symbol > 64]
     assert short and long
     for a, b in short[:20]:
         words.reads = 0

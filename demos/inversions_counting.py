@@ -2,9 +2,9 @@
 
 The array is serialised into a bit string whose BWT contains every
 bitvector of the wavelet tree of the array as a contiguous block.  Each
-node owns the suffixes that start with one bit pattern, and every
-pattern's range is read out of one sorted array of window keys; the
-inversion counts of the blocks sum to the answer.
+node owns the suffixes that start with one bit pattern, and backward
+search over the same BWT finds every pattern's range, one wavelet level
+per step; the inversion counts of the blocks sum to the answer.
 """
 
 import numpy as np

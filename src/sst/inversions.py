@@ -4,7 +4,7 @@ Each array entry becomes a fixed bit block whose suffixes sort like the
 wavelet tree order of the values.  The transform of the encoded text
 then contains every wavelet bitvector as a contiguous slice: the node
 with label w owns the suffixes that start with one pattern P(w), and
-all those ranges are read out of one sorted array of window keys.  The
+backward search over that same transform finds all those ranges.  The
 inversion total of the array equals the sum of inversions over the
 bitvectors.  The small variant handles values below 2^k; the general
 variant covers values up to the padded array length.
@@ -13,8 +13,7 @@ variant covers values up to the padded array length.
 import numpy as np
 
 from .bwt_builder import build_bwt
-from .packed_text import (_int_values, _low_bits, _unsigned_dtype, pack,
-                          window_keys)
+from .packed_text import _int_values, _low_bits, pack
 
 
 class ReductionText:
@@ -27,13 +26,6 @@ class ReductionText:
         self.m = int(m)
         self.k = int(k)
         self.variant = variant
-
-
-def _next_pow2(m):
-    p = 1
-    while p < m:
-        p *= 2
-    return p
 
 
 def count_inversions_bits(bits):
@@ -54,7 +46,7 @@ def count_inversions_bits(bits):
 def _padded(a, domain=None):
     """The values padded to m entries; the domain defaults to [0..m)."""
     vals = _int_values(a).astype(np.int64)
-    m = _next_pow2(max(2, len(vals)))
+    m = 1 << (max(2, len(vals)) - 1).bit_length()
     domain = m if domain is None else domain
     if vals.size and (vals.min() < 0 or vals.max() >= domain):
         raise ValueError("value outside the encoding domain")
@@ -98,13 +90,8 @@ def build_reduction_general(a):
     return ReductionText(pack(rows.reshape(-1), 2), m, logm, "general")
 
 
-def _label_string(wval, wlen):
-    # wavelet node label, most significant encoded bit written last
-    return format(wval, "0%db" % wlen)[::-1] if wlen else ""
-
-
 def _blocks_small(rt, force_naive):
-    """Cut every wavelet bitvector out of the transform of rt.bits, for
+    """Locate every wavelet bitvector in the transform of rt.bits, for
     both variants: the levels are the k = rt.k value bits (log m in the
     general variant), and each entry continues 0 1 1^k.
 
@@ -113,43 +100,55 @@ def _blocks_small(rt, force_naive):
     written least significant bit first.  Those suffixes sort by the
     entry index that follows, and the symbols before them are bit d of
     the values under the node, so the node's bitvector is the transform
-    over P(w)'s suffix range.  One sort of the windows of length 2k + 1,
-    with the window length as a tie break, holds every such range: a
-    shorter suffix that is a prefix of P(w) sorts before the range.
+    over P(w)'s suffix range.  Backward search finds every range: it
+    prepends 1 k + 1 times and 0 once to all rows, then per level the
+    new top bit of w', keeping the non-empty ranges.  Returns the
+    transform, then per non-empty node in range order 2^d + w' and the
+    range [lo, hi).
     """
-    pt = rt.bits
-    n = pt.n
-    depth, run = rt.k, rt.k + 1
-    L = depth + run
-    if (L + 1) << L > 1 << 62:
-        raise ValueError("pattern keys limited to 62 bits")
-    bwt = np.asarray(build_bwt(pt, force_naive=force_naive).bwt,
-                     dtype=np.uint8)
-    # window * (L + 1) + length in place, the length min(L, n - i) short
-    # of L only on the last L - 1 rows, then sorted in the narrowest
-    # dtype that holds every key and every bound searched below
-    keys = window_keys(pt, L, n)
-    keys *= L + 1
-    keys += L
-    tail = min(L - 1, n)
-    keys[n - tail:] -= np.arange(L - tail, L)
-    keys = keys.astype(_unsigned_dtype((L + 1) << L))
-    keys.sort()
-    d = np.repeat(np.arange(depth), 1 << np.arange(depth))
-    w = np.arange(len(d)) - ((1 << d) - 1)
-    ell = d + 1 + run
-    pat = (w << (run + 1)) | ((1 << run) - 1)
-    lo = np.searchsorted(keys, ((pat << (L - ell)) * (L + 1) + ell).astype(
-        keys.dtype))
-    hi = np.searchsorted(keys, (((pat + 1) << (L - ell)) * (L + 1)).astype(
-        keys.dtype))
+    n, depth = rt.bits.n, rt.k
+    res = build_bwt(rt.bits, force_naive=force_naive)
+    bwt, p = res.bwt, res.primary_index - 1
+    last = int(bwt[p])
+    # ones[x]: the ones in the rows below x but the primary row, which
+    # holds T[n] and no predecessor; T[n] alone heads its symbol's rows
+    ones = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(bwt, out=ones[1:])
+    ones[p + 1:] -= last
+    base0, base1 = 1 - last, n - int(ones[-1])
+
+    def children(x):
+        # a row bound x of the suffixes S gives those of 0 S and of 1 S
+        occ1 = ones[x]
+        return base0 + x - (x > p) - occ1, base1 + occ1
+
+    lo, hi = 0, n
+    for bit in [1] * (depth + 1) + [0]:
+        lo, hi = children(lo)[bit], children(hi)[bit]
+    x, node = np.array([[lo], [hi]]), np.ones(1, dtype=np.int64)
+    found = []
+    for d in range(depth):
+        keep = x[0] < x[1]
+        x, node = x[:, keep], node[keep]
+        found.append(np.vstack([node, x]))
+        if d + 1 < depth:
+            x = np.hstack(children(x))
+            node = np.concatenate([node, node + (1 << d)]) + (1 << d)
+    node, lo, hi = np.hstack(found)
     if int((hi - lo).sum()) != rt.m * depth:
         raise AssertionError("block sizes do not cover the array")
-    full = np.flatnonzero(hi > lo)
-    full = full[np.argsort(lo[full])]
-    return {_label_string(wval, wlen): bwt[a:b] for wval, wlen, a, b in zip(
-        w[full].tolist(), d[full].tolist(), lo[full].tolist(),
-        hi[full].tolist())}
+    order = np.argsort(lo)
+    return bwt, node[order], lo[order], hi[order]
+
+
+def _reduction(a, variant, k):
+    """The array's encoding in the variant, k defaulting as below."""
+    _check_variant(variant, k)
+    if variant == "general":
+        return build_reduction_general(a)
+    if k is None:
+        k = max(1, int(_int_values(a).max(initial=0)).bit_length())
+    return build_reduction_small(a, k)
 
 
 def _check_variant(variant, k):
@@ -160,21 +159,20 @@ def _check_variant(variant, k):
 
 
 def extract_wavelet_blocks(a, variant="small", k=None, force_naive_bwt=False):
-    """Wavelet bitvectors of the array, read out of the encoded transform.
+    """Wavelet bitvectors of the array, padded with its domain's maximum
+    to a power-of-two length as the encoding pads it ([3, 1, 2] in the
+    general variant has the root bits 1011), read out of the transform.
 
-    Returns a dict from node label strings to bit arrays.  Labels absent
-    from the dict have empty bitvectors.  The small variant's width k
-    defaults to the bit length of the largest value, at least 1; the
-    general variant takes no k.
+    Returns a dict from node labels to bit arrays in the order of their
+    ranges; absent labels have empty bitvectors.  The small variant's
+    width k defaults to the bit length of the largest value, at least 1;
+    the general variant takes no k.
     """
-    _check_variant(variant, k)
-    if variant == "small":
-        if k is None:
-            k = max(1, int(_int_values(a).max(initial=0)).bit_length())
-        rt = build_reduction_small(a, k)
-    else:
-        rt = build_reduction_general(a)
-    return _blocks_small(rt, force_naive_bwt)
+    bwt, node, lo, hi = _blocks_small(_reduction(a, variant, k),
+                                      force_naive_bwt)
+    # the label is w, the binary digits of 2^d + w' reversed but the 1
+    return {format(v, "b")[:0:-1]: bwt[s:e] for v, s, e in zip(
+        node.tolist(), lo.tolist(), hi.tolist())}
 
 
 def count_inversions_via_bwt(a, variant="small", k=None,
@@ -188,14 +186,15 @@ def count_inversions_via_bwt(a, variant="small", k=None,
     >>> count_inversions_via_bwt([2, 0, 3, 1])
     3
     """
-    _check_variant(variant, k)
     if len(_int_values(a)) <= 1:
+        _check_variant(variant, k)
         return 0
-    blocks = list(extract_wavelet_blocks(
-        a, variant=variant, k=k, force_naive_bwt=force_naive_bwt).values())
-    sizes = np.array([len(b) for b in blocks], dtype=np.int64)
-    bits = np.concatenate(blocks)
-    ones = np.add.reduceat(bits, np.cumsum(sizes) - sizes, dtype=np.int64)
+    bwt, _, lo, hi = _blocks_small(_reduction(a, variant, k),
+                                   force_naive_bwt)
+    sizes = hi - lo
+    starts = np.cumsum(sizes) - sizes
+    bits = bwt[np.arange(sizes.sum()) + np.repeat(lo - starts, sizes)]
+    ones = np.add.reduceat(bits, starts, dtype=np.int64)
     # counted over the joined blocks, every one also pairs with each zero
     # of the blocks after its own
     across = int((sizes - ones) @ (np.cumsum(ones) - ones))

@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sst.inversions import (ReductionText, _blocks_small,
-                            build_reduction_general, build_reduction_small,
-                            count_inversions_bits, count_inversions_via_bwt,
-                            extract_wavelet_blocks)
+from sst.inversions import (_blocks_small, build_reduction_general,
+                            build_reduction_small, count_inversions_bits,
+                            count_inversions_via_bwt, extract_wavelet_blocks)
 from sst.cli import main
-from sst.packed_text import pack
-from sst.reference_oracles import (fenwick_inversions, naive_inversions,
+from sst.reference_oracles import (fenwick_inversions, naive_bwt,
+                                   naive_inversions, naive_suffix_array,
                                    naive_wavelet_bitvectors)
 
 from conftest import full_profile
@@ -96,14 +95,6 @@ def test_domain_errors():
             count_inversions_via_bwt(bad, "general")
 
 
-def test_wide_pattern_keys_rejected():
-    # log m = 28 needs windows of 57 bits, and with the length tie break
-    # the keys would pass 62 bits; the check comes before any transform
-    rt = ReductionText(pack([0, 1], 2), 1 << 28, 28, "general")
-    with pytest.raises(ValueError):
-        _blocks_small(rt, False)
-
-
 def test_frozen_counts():
     assert count_inversions_via_bwt([2, 0, 1], "small", k=2) == 2
     assert count_inversions_via_bwt([2, 0, 1], "general") == 2
@@ -166,6 +157,45 @@ def test_blocks_match_direct_wavelet(rng):
             assert set(blocks) == set(want)
             for label, bits in want.items():
                 assert list(blocks[label]) == bits
+
+
+def test_blocks_are_pattern_ranges(rng):
+    # every node's block is the naive transform over the suffix range of
+    # P(w) = w' 0 1^(k+1) in the naive suffix array, and the blocks come
+    # in the order of their ranges
+    for m in list(range(0, 41, 3)) + [5, 17, 40]:
+        mp = max(2, 1 << (m - 1).bit_length())
+        logm = mp.bit_length() - 1
+        k = rng.randrange(1, logm + 1)
+        small = [rng.randrange(1 << k) for _ in range(m)]
+        wide = [rng.randrange(mp) for _ in range(m)]
+        for variant, width, a, rt in (
+                ("small", k, small, build_reduction_small(small, k)),
+                ("general", None, wide, build_reduction_general(wide))):
+            text = rt.bits.to_list()
+            bwt = naive_bwt(text)[0]
+            starts = [text[p - 1:] for p in naive_suffix_array(text)]
+            want = []
+            for d in range(rt.k):
+                for w in range(1 << d):
+                    label = format(w, "0%db" % d) if d else ""
+                    pat = [int(c) for c in reversed(label)]
+                    pat += [0] + [1] * (rt.k + 1)
+                    rows = [r for r, s in enumerate(starts)
+                            if s[:len(pat)] == pat]
+                    if rows:
+                        lo, hi = rows[0], rows[-1] + 1
+                        assert rows == list(range(lo, hi))
+                        want.append((lo, hi, label, bwt[lo:hi]))
+            want.sort()
+            for naive in (False, True):
+                _, _, lo, hi = _blocks_small(rt, naive)
+                assert list(zip(lo.tolist(), hi.tolist())) == [
+                    row[:2] for row in want]
+                got = extract_wavelet_blocks(a, variant, k=width,
+                                             force_naive_bwt=naive)
+                assert [(label, bits.tolist()) for label, bits
+                        in got.items()] == [row[2:] for row in want]
 
 
 def test_naive_bwt_backend(rng):

@@ -100,11 +100,14 @@ def _blocks_small(rt, force_naive):
     written least significant bit first.  Those suffixes sort by the
     entry index that follows, and the symbols before them are bit d of
     the values under the node, so the node's bitvector is the transform
-    over P(w)'s suffix range.  Backward search finds every range: it
-    prepends 1 k + 1 times and 0 once to all rows, then per level the
-    new top bit of w', keeping the non-empty ranges.  Returns the
-    transform, then per non-empty node in range order 2^d + w' and the
-    range [lo, hi).
+    over P(w)'s suffix range.  Backward search finds every range:
+    prepending 1 k + 1 times and 0 once to all rows gives the root's.
+    The patterns of depth below j sort as those of depth below j - 1
+    after a 0, then the root's, then those after a 1, so each pass
+    prepends 0 and 1 to every non-empty range of the last pass and puts
+    the root's between them: the ranges come out in order.  Returns the
+    transform, then per non-empty node in range order 2^d + w (w read as
+    a binary number) and the range [lo, hi).
     """
     n, depth = rt.bits.n, rt.k
     res = build_bwt(rt.bits, force_naive=force_naive)
@@ -125,20 +128,18 @@ def _blocks_small(rt, force_naive):
     lo, hi = 0, n
     for bit in [1] * (depth + 1) + [0]:
         lo, hi = children(lo)[bit], children(hi)[bit]
-    x, node = np.array([[lo], [hi]]), np.ones(1, dtype=np.int64)
-    found = []
-    for d in range(depth):
-        keep = x[0] < x[1]
-        x, node = x[:, keep], node[keep]
-        found.append(np.vstack([node, x]))
-        if d + 1 < depth:
-            x = np.hstack(children(x))
-            node = np.concatenate([node, node + (1 << d)]) + (1 << d)
-    node, lo, hi = np.hstack(found)
+    root = np.array([[1], [lo], [hi]])
+    nodes = root
+    for _ in range(depth - 1):
+        nodes = nodes.compress(nodes[1] < nodes[2], axis=1)
+        zero, one = children(nodes[1:])
+        v = 2 * nodes[:1]
+        nodes = np.concatenate([np.concatenate([v, zero]), root,
+                                np.concatenate([v + 1, one])], axis=1)
+    node, lo, hi = nodes.compress(nodes[1] < nodes[2], axis=1)
     if int((hi - lo).sum()) != rt.m * depth:
         raise AssertionError("block sizes do not cover the array")
-    order = np.argsort(lo)
-    return bwt, node[order], lo[order], hi[order]
+    return bwt, node, lo, hi
 
 
 def _reduction(a, variant, k):
@@ -170,8 +171,7 @@ def extract_wavelet_blocks(a, variant="small", k=None, force_naive_bwt=False):
     """
     bwt, node, lo, hi = _blocks_small(_reduction(a, variant, k),
                                       force_naive_bwt)
-    # the label is w, the binary digits of 2^d + w' reversed but the 1
-    return {format(v, "b")[:0:-1]: bwt[s:e] for v, s, e in zip(
+    return {format(v, "b")[1:]: bwt[s:e] for v, s, e in zip(
         node.tolist(), lo.tolist(), hi.tolist())}
 
 

@@ -131,12 +131,12 @@ def _blocks_small(rt, force_naive):
     root = np.array([[1], [lo], [hi]])
     nodes = root
     for _ in range(depth - 1):
-        nodes = nodes.compress(nodes[1] < nodes[2], axis=1)
         zero, one = children(nodes[1:])
         v = 2 * nodes[:1]
         nodes = np.concatenate([np.concatenate([v, zero]), root,
                                 np.concatenate([v + 1, one])], axis=1)
-    node, lo, hi = nodes.compress(nodes[1] < nodes[2], axis=1)
+        nodes = nodes.compress(nodes[1] < nodes[2], axis=1)
+    node, lo, hi = nodes
     if int((hi - lo).sum()) != rt.m * depth:
         raise AssertionError("block sizes do not cover the array")
     return bwt, node, lo, hi

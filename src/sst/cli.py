@@ -213,9 +213,8 @@ def cmd_inversions(args):
         # the count depends only on the order of the values, so the
         # reductions read their dense ranks, which --k then bounds
         ranks = np.unique(a, return_inverse=True)[1]
-        count = count_inversions_via_bwt(
-            ranks, variant=args.variant, k=args.k,
-            force_naive_bwt=args.naive_bwt)
+        count = count_inversions_via_bwt(ranks, variant=args.variant,
+                                         k=args.k)
     print(count)
     return 0
 
@@ -364,8 +363,6 @@ def build_parser():
     p.add_argument("--variant", choices=["small", "general", "naive"],
                    default="general")
     p.add_argument("--k", type=int, help="value width for the small variant")
-    p.add_argument("--naive-bwt", action="store_true",
-                   help="run the reduction on the direct transform backend")
     p.set_defaults(fn=cmd_inversions)
 
     p = sub.add_parser("bench", help="wall-time table, no pass/fail")

@@ -31,13 +31,14 @@ class ReductionText:
 def count_inversions_bits(bits):
     """Number of pairs i < j with bits[i] = 1 and bits[j] = 0.
 
+    bits is a 1-D sequence of integers (bools too), each 0 or 1;
+    anything else raises ValueError.
+
     >>> count_inversions_bits([1, 0, 1, 0, 0])
     5
     """
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("bits must be one-dimensional")
-    if arr.size and arr.max() > 1:
+    arr = _int_values(bits)
+    if arr.size and (arr.min() < 0 or arr.max() > 1):
         raise ValueError("bit values must be 0 or 1")
     ones = np.cumsum(arr, dtype=np.int64)
     return int(ones[arr == 0].sum())
@@ -90,7 +91,7 @@ def build_reduction_general(a):
     return ReductionText(pack(rows.reshape(-1), 2), m, logm, "general")
 
 
-def _blocks_small(rt, force_naive):
+def _blocks_small(rt):
     """Locate every wavelet bitvector in the transform of rt.bits, for
     both variants: the levels are the k = rt.k value bits (log m in the
     general variant), and each entry continues 0 1 1^k.
@@ -110,7 +111,7 @@ def _blocks_small(rt, force_naive):
     a binary number) and the range [lo, hi).
     """
     n, depth = rt.bits.n, rt.k
-    res = build_bwt(rt.bits, force_naive=force_naive)
+    res = build_bwt(rt.bits)
     bwt, p = res.bwt, res.primary_index - 1
     last = int(bwt[p])
     # ones[x]: the ones in the rows below x but the primary row, which
@@ -159,25 +160,25 @@ def _check_variant(variant, k):
         raise ValueError("k sets the small variant's width only")
 
 
-def extract_wavelet_blocks(a, variant="small", k=None, force_naive_bwt=False):
+def extract_wavelet_blocks(a, variant="small", k=None):
     """Wavelet bitvectors of the array, padded with its domain's maximum
     to a power-of-two length as the encoding pads it ([3, 1, 2] in the
-    general variant has the root bits 1011), read out of the transform.
+    general variant has the root bits 1011), read out of the transform
+    of its encoding, which build_bwt builds on the backend it picks.
 
     Returns a dict from node labels to bit arrays in the order of their
     ranges; absent labels have empty bitvectors.  The small variant's
     width k defaults to the bit length of the largest value, at least 1;
     the general variant takes no k.
     """
-    bwt, node, lo, hi = _blocks_small(_reduction(a, variant, k),
-                                      force_naive_bwt)
+    bwt, node, lo, hi = _blocks_small(_reduction(a, variant, k))
     return {format(v, "b")[1:]: bwt[s:e] for v, s, e in zip(
         node.tolist(), lo.tolist(), hi.tolist())}
 
 
-def count_inversions_via_bwt(a, variant="small", k=None,
-                             force_naive_bwt=False):
-    """Inversion count of the array through the transform pipeline.
+def count_inversions_via_bwt(a, variant="small", k=None):
+    """Inversion count of the array through the transform of its
+    encoding, which build_bwt builds on the backend it picks.
 
     >>> count_inversions_via_bwt([2, 0, 3, 1], variant="general")
     3
@@ -189,8 +190,7 @@ def count_inversions_via_bwt(a, variant="small", k=None,
     if len(_int_values(a)) <= 1:
         _check_variant(variant, k)
         return 0
-    bwt, _, lo, hi = _blocks_small(_reduction(a, variant, k),
-                                   force_naive_bwt)
+    bwt, _, lo, hi = _blocks_small(_reduction(a, variant, k))
     sizes = hi - lo
     starts = np.cumsum(sizes) - sizes
     bits = bwt[np.arange(sizes.sum()) + np.repeat(lo - starts, sizes)]

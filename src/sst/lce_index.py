@@ -130,13 +130,16 @@ class LceIndex:
         # 64b..64b+63, at most 64, have ranks _first[b].._first[b + 1] - 1
         self._first = np.searchsorted(self.sync.positions,
                                       np.arange(0, n + 64, 64)).tolist()
+        # the packed words as plain ints, faster than numpy scalars in
+        # the scalar query, and two zero words for its reads at the end
+        self._wlist = pt.words.tolist() + [0, 0]
         self.query = self._bind_query()
 
     def _bind_query(self):
         """The scalar query, with the index's read-only state bound once
         as closure variables, so that a call reads no attribute."""
         pt = self.pt
-        n, b, wl = pt.n, pt.bits_per_symbol, pt._wlist
+        n, b, wl = pt.n, pt.bits_per_symbol, self._wlist
         tau = self.tau
         cap = 3 * tau
         # starts <= last have all cap symbols, which full masks up to 64 bits

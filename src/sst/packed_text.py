@@ -22,10 +22,9 @@ def _bits_for(sigma):
 
 
 class PackedText:
-    """Packed representation of a text plus small derived caches."""
+    """Packed representation of a text plus its unpacked symbols."""
 
-    __slots__ = ("words", "n", "sigma", "bits_per_symbol", "symbols",
-                 "_wlist")
+    __slots__ = ("words", "n", "sigma", "bits_per_symbol", "symbols")
 
     def __init__(self, words, n, sigma, bits_per_symbol, symbols):
         self.words = words
@@ -34,8 +33,6 @@ class PackedText:
         self.bits_per_symbol = bits_per_symbol
         # unpacked copy kept for vectorised helpers; uint8 covers byte texts
         self.symbols = symbols
-        # plain ints are faster than numpy scalars in the query hot paths
-        self._wlist = words.tolist() + [0, 0]
 
     def __len__(self):
         return self.n

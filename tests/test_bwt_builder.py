@@ -227,6 +227,22 @@ def test_force_naive_agrees(rng):
         assert b.meta["pipeline"] == "naive-fallback"
 
 
+@pytest.mark.parametrize("sigma", [2, 256, 300, 70000])
+def test_backends_share_one_read_out(rng, sigma):
+    # both backends read the transform out of their row order in one
+    # place: equal symbols, primary index, dtype and meta keys, with
+    # bytes for sigma <= 256 and int64 above (70000 is stored as uint32)
+    pt = pack(random_text(rng, 2000, sigma), sigma)
+    sync, naive = build_bwt(pt), build_bwt(pt, force_naive=True)
+    assert (sync.meta["pipeline"], naive.meta["pipeline"]) == (
+        "sync", "naive-fallback")
+    assert np.array_equal(sync.bwt, naive.bwt)
+    assert sync.primary_index == naive.primary_index
+    want = np.uint8 if sigma <= 256 else np.int64
+    assert sync.bwt.dtype == naive.bwt.dtype == want
+    assert sync.meta.keys() == naive.meta.keys()
+
+
 def test_meta_fields(rng):
     seq = random_text(rng, 300, 4)
     res = build_bwt(pack(seq, 4), tau=3)

@@ -360,11 +360,21 @@ def test_inversions_variants(tmp_path, capsys):
     arr = tmp_path / "a.txt"
     arr.write_text("2 0 3 1\n")
     for extra in (["--variant", "general"], ["--variant", "small", "--k", "2"],
-                  ["--variant", "naive"], ["--variant", "general",
-                                           "--naive-bwt"]):
+                  ["--variant", "naive"]):
         status, out, _ = _run(capsys, "inversions", "--input", str(arr),
                               *extra)
         assert status == 0 and out.strip() == "3"
+
+
+def test_inversions_backend_flag_is_rejected(tmp_path):
+    # build_bwt alone picks the transform's backend, so the reduction
+    # takes no backend flag
+    arr = tmp_path / "a.txt"
+    arr.write_text("2 0 3 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["inversions", "--input", str(arr), "--variant", "general",
+              "--naive-bwt"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("variant", ["general", "naive"])

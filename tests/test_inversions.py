@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,23 +189,12 @@ def test_blocks_are_pattern_ranges(rng):
                         assert rows == list(range(lo, hi))
                         want.append((lo, hi, label, bwt[lo:hi]))
             want.sort()
-            for naive in (False, True):
-                _, _, lo, hi = _blocks_small(rt, naive)
-                assert list(zip(lo.tolist(), hi.tolist())) == [
-                    row[:2] for row in want]
-                got = extract_wavelet_blocks(a, variant, k=width,
-                                             force_naive_bwt=naive)
-                assert [(label, bits.tolist()) for label, bits
-                        in got.items()] == [row[2:] for row in want]
-
-
-def test_naive_bwt_backend(rng):
-    for _ in range(8):
-        m = rng.randrange(2, 40)
-        mp = 1 << (m - 1).bit_length()
-        a = [rng.randrange(mp) for _ in range(m)]
-        assert count_inversions_via_bwt(
-            a, "general", force_naive_bwt=True) == naive_inversions(a)
+            _, _, lo, hi = _blocks_small(rt)
+            assert list(zip(lo.tolist(), hi.tolist())) == [
+                row[:2] for row in want]
+            got = extract_wavelet_blocks(a, variant, k=width)
+            assert [(label, bits.tolist()) for label, bits
+                    in got.items()] == [row[2:] for row in want]
 
 
 def test_default_small_width(tmp_path, capsys):
@@ -242,12 +232,9 @@ def test_general_variant_property(raw, data):
     k = data.draw(st.integers(1, mp.bit_length() - 1))
     a = [v % mp for v in raw]
     narrow = [v % (1 << k) for v in raw]
-    for naive in (False, True):
-        assert count_inversions_via_bwt(
-            a, "general", force_naive_bwt=naive) == naive_inversions(a)
-        assert count_inversions_via_bwt(
-            narrow, "small", k=k,
-            force_naive_bwt=naive) == naive_inversions(narrow)
+    assert count_inversions_via_bwt(a, "general") == naive_inversions(a)
+    assert count_inversions_via_bwt(
+        narrow, "small", k=k) == naive_inversions(narrow)
 
 
 def test_count_inversions_bits_frozen():
@@ -255,6 +242,17 @@ def test_count_inversions_bits_frozen():
     assert count_inversions_bits([1, 0, 1, 0]) == 3
     assert count_inversions_bits([]) == 0
     assert count_inversions_bits([0, 0, 1, 1]) == 0
+    assert count_inversions_bits(np.array([True, False, True])) == 1
+
+
+@pytest.mark.parametrize("bits", [[0.5, 1.7], np.array([1.9, 0.2]),
+                                  ["1", "0"], [-1], [256], [1, 2, 0],
+                                  [[1, 0]]])
+def test_count_inversions_bits_rejects_non_bits(bits):
+    # only the integers 0 and 1 are bits: floats and strings no longer
+    # cast to them, and out-of-range values no longer overflow
+    with pytest.raises(ValueError):
+        count_inversions_bits(bits)
 
 
 @settings(max_examples=80, deadline=None)

@@ -102,6 +102,16 @@ class _CountingList(list):
         return super().__getitem__(k)
 
 
+@pytest.mark.parametrize("sigma", [2, 3, 256, 257, 1 << 20, 1 << 62])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_word_list_is_the_packed_words_then_two_zeros(sigma, n):
+    # the scalar compare reads two words from the one a window starts in,
+    # so two zero words past the packed ones cover the text end
+    pt = pack(random.Random(sigma * 1000 + n).choices(range(min(sigma, 1000)),
+                                                      k=n), sigma)
+    assert LceIndex(pt)._wlist == pt.words.tolist() + [0, 0]
+
+
 def test_scalar_query_compares_one_word(rng):
     # at the default tau, a head compare that differs in its first
     # window reads two words a side; at a tau whose 3tau symbols pass
@@ -109,9 +119,14 @@ def test_scalar_query_compares_one_word(rng):
     n, sigma = 3000, 4
     seq = _repetitive_text(rng, n, sigma)
     pt = pack(seq, sigma)
-    pt._wlist = words = _CountingList(pt._wlist)
     idx = LceIndex(pt)
     wide = LceIndex(pt, _word_taus(n, sigma)[2])
+    # the queries bind the word list once, so a counting list is bound
+    # anew; both indexes share it
+    words = _CountingList(idx._wlist)
+    for index in (idx, wide):
+        index._wlist = words
+        index.query = index._bind_query()
     gen = np.random.default_rng(25)
     i, j = gen.integers(1, n + 1, size=(2, 2000))
     # half the pairs compare two copies of the base at one offset

@@ -66,7 +66,6 @@ def test_pack_words_match_bitwise_reference(sigma, n):
         if seq[k // bits] >> (k % bits) & 1:
             want[k // 64] |= 1 << (k % 64)
     assert pt.words.tolist() == want
-    assert pt._wlist == pt.words.tolist() + [0, 0]
     assert pt.symbols.dtype == (np.uint8 if sigma <= 1 << 8 else
                                 np.uint16 if sigma <= 1 << 16 else
                                 np.uint32 if sigma <= 1 << 32 else np.int64)

@@ -111,7 +111,7 @@ def _sort_keys(pt, tau, s, rank, keys):
 def _emit_blocks(pt, tau, s, isa, runs, keys):
     """Sort all suffixes by their sort keys.
 
-    isa holds the members' ranks among the sorted synchronizing
+    isa holds the members' 0-based ranks among the sorted synchronizing
     suffixes, runs the find_runs arrays of the set, and keys the
     3tau-window keys of every start, which the sort column overwrites.
     Returns the 0-based start of the suffix in every row.
@@ -119,7 +119,7 @@ def _emit_blocks(pt, tau, s, isa, runs, keys):
     n, m = pt.n, len(s)
     cap = 3 * tau - 1
     rank = np.zeros(m + 1, dtype=np.int32 if m < 1 << 31 else np.int64)
-    rank[:-1] = isa
+    np.add(isa, 1, out=rank[:-1])
     cols, block = _sort_keys(pt, tau, s, rank, keys)
     # rows tie only inside periodic blocks, which are re-sorted below,
     # so the sort need not be stable
@@ -167,14 +167,16 @@ def build_bwt(pt, tau=None, force_naive=False):
     n = pt.n
     tau = resolve_tau(tau, n, pt.sigma)
     if force_naive or n < 3 * tau - 1 or 3 * tau * pt.bits_per_symbol > 62:
-        sa = SuffixArrayIndex(pt.symbols[:n], with_lcp=False).sa - 1
+        index = SuffixArrayIndex(pt.symbols[:n], with_lcp=False)
+        sa, rounds = index.sa0, index.rounds
+        del index
         size, pipeline = 0, "naive-fallback"
     else:
         keys = window_keys(pt, 3 * tau, n)
         s = construct(pt, tau, mode="random", seed=0, keys=keys)
         tp, reduced = sort_sync_suffixes(pt, s, with_lcp=False,
                                          keys=keys[s.positions - 1])
-        isa, runs = reduced.isa, tp.runs
+        isa, runs, rounds = reduced.isa0, tp.runs, reduced.rounds
         # the reduced string and its suffix array are done with
         del tp, reduced
         sa = _emit_blocks(pt, tau, s, isa, runs, keys)
@@ -186,7 +188,7 @@ def build_bwt(pt, tau=None, force_naive=False):
     bwt = np.concatenate((sym[n - 1:n], sym[:n - 1]))[sa]
     primary = int(sa.argmin()) + 1
     meta = {"n": n, "sigma": pt.sigma, "tau": tau, "primary_index": primary,
-            "sync_size": size, "pipeline": pipeline}
+            "sync_size": size, "pipeline": pipeline, "rounds": rounds}
     bwt = bwt.astype(np.uint8 if pt.sigma <= 256 else np.int64, copy=False)
     return BwtResult(bwt, primary, meta)
 

@@ -116,7 +116,7 @@ class LceIndex:
             keys = None
         reduced = sort_sync_suffixes(pt, self.sync, keys=keys)[1]
         # _rank[t]: the 0-based rank of the reduced suffix of member t
-        self._rank = reduced.isa - 1
+        self._rank = reduced.isa0
         lcp = reduced.lcp
         # sa, unread by queries, and the member keys go before the table
         del reduced, keys

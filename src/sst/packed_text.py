@@ -291,21 +291,40 @@ def dense_ranks(cols):
 
 def doubled_classes(cls, got, length=None):
     """Prefix doubling (Karp, Miller and Rosenberg, STOC 1972) of the
-    dense classes cls of the got-symbol fragments at every start: each
-    round yields the classes of fragments step <= got symbols longer,
-    the dense ranks of the pairs of classes at i and i + step, packed
-    into one int64 (below 3e9 starts), where a partner past the end
-    reads below every class.  step is got, cut to reach length if
-    given; the rounds stop at length or once every class is distinct.
+    dense classes cls of the got-symbol fragments at every start, folding
+    k class columns into each round.
 
-    >>> [c.tolist() for c in doubled_classes(np.array([1, 0, 1, 0]), 1)]
-    [[2, 1, 2, 0], [3, 1, 2, 0]]
+    A round ranks, at each start i, the classes at i, i + got, ...,
+    i + (k-1)got as the digits of one int64 in base C + 1, C the class
+    count: the first digit is the class, the others the class + 1, or 0
+    past the end, below every class.  k is the most digits of
+    bit_length(C) bits that fit the value sort's 63 bits beside the row
+    index of m starts, (63 - bit_length(m - 1)) // bit_length(C), no
+    more than ceil(m / got), past which every digit reads 0, and at
+    least 2, whose key fits one int64 below 3e9 starts.  Each round
+    yields the new classes and its k, and got grows k-fold.  With
+    length given, k is cut to ceil(length / got) and the last offset to
+    length - got, so that got ends at length.  The rounds stop at length
+    or once every class is distinct.
+
+    >>> [(c.tolist(), k) for c, k in doubled_classes(np.array([1, 0, 1, 0]), 1)]
+    [([3, 1, 2, 0], 4)]
     """
     m = len(cls)
-    while (length is None or got < length) and cls.max(initial=-1) + 1 < m:
-        step = got if length is None else min(got, length - got)
-        key = cls * (m + 1)
-        key[:m - step] += cls[step:] + 1
+    row_bits = (m - 1).bit_length()
+    while (length is None or got < length) and \
+            (count := int(cls.max(initial=-1)) + 1) < m:
+        k = max(2, min((63 - row_bits) // count.bit_length(), -(-m // got)))
+        offsets = [j * got for j in range(k)]
+        if length is not None and length < k * got:
+            k = -(-length // got)
+            offsets = offsets[:k - 1] + [length - got]
+        # in place over one copy: a fresh n-row array costs more than a pass
+        key = cls.astype(np.int64)
+        for off in offsets[1:]:
+            key *= count + 1
+            key[:m - off] += cls[off:]
+            key[:m - off] += 1
         cls = dense_ranks([key])
-        got += step
-        yield cls
+        got = k * got if length is None else min(k * got, length)
+        yield cls, k

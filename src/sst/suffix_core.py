@@ -1,20 +1,24 @@
 """Suffix arrays and LCP arrays of in-memory integer sequences.
 
-Positions and ranks are 1-based to match the rest of the package.  No
-sentinel is appended: a suffix that is a proper prefix of another sorts
-first, which the doubling comparison realizes by ranking absent symbols
-below every real rank.
+Positions and ranks are 1-based in sa and isa to match the rest of the
+package; sa0 and isa0, which the package's own callers read, are the
+0-based arrays they are built from.  No sentinel is appended: a suffix
+that is a proper prefix of another sorts first, which the doubling
+comparison realizes by ranking absent symbols below every real rank.
 
 Prefix doubling (Manber and Myers, SIAM J. Comput. 1993) starts from one
-int64 key column of c symbols and ranks the c*2^k-symbol prefixes of all
-suffixes in round k.  With the LCP array requested, the constructor
-keeps those rank arrays until it has built the LCP array by binary
-lifting: two distinct starts with equal round-k ranks begin with equal,
-complete c*2^k-symbol blocks, so the common prefix of two suffixes is
-the sum of the block lengths that match, tried from the longest down,
-plus the equal leading symbols of the keys where they stop.  The sparse
-table of range minima over an LCP array answers the common prefix of any
-two suffixes, the minimum between their ranks.
+int64 key column of c symbols and ranks ever longer prefixes of all
+suffixes, each round folding as many class columns into its key as fit
+one value sort (doubled_classes), so that a round of few classes covers
+many times its got symbols.  With the LCP array requested, the
+constructor keeps the rank arrays until it has built the LCP array by
+lifting in mixed radix: two distinct starts with equal ranks at a round
+begin with equal, complete got-symbol blocks, so the common prefix of
+two suffixes is the sum of the block lengths that match, tried from the
+top round down, k - 1 times at a round of fold k, plus the equal leading
+symbols of the keys where they stop.  The sparse table of range minima
+over an LCP array answers the common prefix of any two suffixes, the
+minimum between their ranks.
 """
 
 import numpy as np
@@ -24,9 +28,14 @@ from .packed_text import (_doubled_keys, _int_values, dense_ranks,
 
 
 class SuffixArrayIndex:
-    """Suffix array, its inverse, and with with_lcp the LCP array."""
+    """Suffix array, its inverse, and with with_lcp the LCP array.
 
-    __slots__ = ("n", "sa", "isa", "lcp")
+    sa0 and isa0 are the 0-based suffix array and ranks; sa and isa, their
+    1-based forms, are built on first read.  rounds lists the fold k of
+    each doubling round past the key column.
+    """
+
+    __slots__ = ("n", "sa0", "isa0", "lcp", "rounds", "_sa", "_isa")
 
     def __init__(self, seq, with_lcp=True):
         if isinstance(seq, str):
@@ -53,39 +62,63 @@ class SuffixArrayIndex:
         sym = sym[:n + c] if with_lcp else None
         rank = key - 1 if perm else dense_ranks([key])
         del key
-        ranks = []
-        for nxt in doubled_classes(rank, c):
+        levels, self.rounds, got = [], [], c
+        for nxt, k in doubled_classes(rank, c):
             if with_lcp:
                 # -1 at index n stands for a block that runs past the end
-                ranks.append(np.full(n + 1, -1, dtype=narrow))
-                ranks[-1][:n] = rank
+                kept = np.full(n + 1, -1, dtype=narrow)
+                kept[:n] = rank
+                levels.append((kept, got, k))
+            self.rounds.append(k)
+            got *= k
             rank = nxt
         sa0 = np.empty(n, dtype=np.int64)
         sa0[rank] = np.arange(n)
-        self.sa = sa0 + 1
-        self.isa = rank + 1
+        self.sa0, self.isa0 = sa0, rank
+        self._sa = self._isa = None
         # lcp[r]: common prefix of the suffixes of ranks r+1 and r+2
-        self.lcp = (_lcp_by_lifting(ranks, sa0, sym, c, b) if with_lcp
+        self.lcp = (_lcp_by_lifting(levels, sa0, sym, c, b) if with_lcp
                     else None)
 
+    @property
+    def sa(self):
+        """The 1-based start of the suffix of rank r + 1 at index r."""
+        if self._sa is None:
+            self._sa = self.sa0 + 1
+        return self._sa
 
-def _lcp_by_lifting(ranks, sa0, sym, c, b):
+    @property
+    def isa(self):
+        """The 1-based rank of the suffix at 1-based start p at p - 1."""
+        if self._isa is None:
+            self._isa = self.isa0 + 1
+        return self._isa
+
+
+def _lcp_by_lifting(levels, sa0, sym, c, b):
     """Common prefix of the suffixes at sa0[r] and sa0[r+1], 0-based.
 
-    ranks[k] holds the round-k rank of every start plus -1 at index n.
-    The final round's ranks are distinct, so every common prefix is
-    shorter than c*2^len(ranks), and one pass from the top round down,
-    each round freed once read, finds it to a multiple h of c.  A start
-    plus h is at most n, and at most one of the two reaches n, where -1
-    matches no rank.  The rest is the equal leading b-bit digits of the
-    keys at the two starts plus h, rebuilt from sym (the symbols, then
-    c zeros); key n reads 0, below every other.
+    levels[r] is round r's input (rank, got, k): the rank of the
+    got-symbol prefix of every start plus -1 at index n, and the round's
+    fold.  The final ranks are distinct, so every common prefix is
+    shorter than the top level's k * got.  One pass from the top level
+    down, each freed once read, finds it in mixed radix: past the levels
+    above r the rest is below k * got of level r, so k - 1 tries to add
+    got, each a no-op once one fails, leave it below got, and past the
+    bottom level a multiple h of c remains.  A start plus h is at most
+    n, and at most one of the two reaches n, where -1 matches no rank.
+    The rest is the equal leading b-bit digits of the keys at the two
+    starts plus h, rebuilt from sym (the symbols, then c zeros); key n
+    reads 0, below every other.
     """
     a, z = sa0[:-1], sa0[1:]
     h = np.zeros(len(a), dtype=np.int64)
-    for k in range(len(ranks) - 1, -1, -1):
-        h += (ranks[k][a + h] == ranks[k][z + h]) * (c << k)
-        ranks[k] = None
+    for r in range(len(levels) - 1, -1, -1):
+        rank, got, k = levels[r]
+        levels[r] = None
+        for _ in range(k - 1):
+            h += (rank[a + h] == rank[z + h]) * got
+        del rank
     key = _doubled_keys(sym, c, 1 << b)
     x = key[a + h]
     x ^= key[z + h]

@@ -105,7 +105,7 @@ def _fragment_classes(pt, length, count):
     """
     got = min(length, _column_symbols(pt.sigma))
     cls = dense_ranks([window_keys(pt, got, count + length - got)])
-    for cls in doubled_classes(cls, got, length):
+    for cls, _ in doubled_classes(cls, got, length):
         pass
     return np.cumsum(np.bincount(cls[:count]) > 0)[cls[:count]] - 1
 

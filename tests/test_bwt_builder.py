@@ -11,8 +11,9 @@ from sst import packed_text
 from sst.bwt_builder import build_bwt, invert_bwt, read_bwt, write_bwt
 from sst.lce_index import LceIndex
 from sst.packed_text import pack
+from sst.suffix_core import SuffixArrayIndex
 from sst.sync_set import construct
-from sst.sync_sort import build_tprime, find_runs
+from sst.sync_sort import build_tprime, find_runs, sort_sync_suffixes
 from sst.reference_oracles import naive_bwt, naive_lce, naive_period
 
 from conftest import (all_binary_texts, fibonacci_word, full_profile,
@@ -241,6 +242,21 @@ def test_backends_share_one_read_out(rng, sigma):
     want = np.uint8 if sigma <= 256 else np.int64
     assert sync.bwt.dtype == naive.bwt.dtype == want
     assert sync.meta.keys() == naive.meta.keys()
+
+
+def test_meta_rounds_are_the_folds_of_the_suffix_sort_that_ran(rng):
+    # the naive backend sorts the text, the sync pipeline the reduced
+    # string of its seed-0 random set
+    base = random_text(rng, 200, 4)
+    seq = base * 15
+    pt = pack(seq, 4)
+    naive = build_bwt(pt, force_naive=True)
+    assert naive.meta["rounds"] == SuffixArrayIndex(seq).rounds
+    assert len(naive.meta["rounds"]) >= 2
+    sync = build_bwt(pt)
+    s = construct(pt, sync.meta["tau"], mode="random", seed=0)
+    reduced = sort_sync_suffixes(pt, s)[1]
+    assert sync.meta["rounds"] == reduced.rounds
 
 
 def test_meta_fields(rng):

@@ -6,7 +6,9 @@ benchmark's tracer, so the grid has one definition.  The desk profile
 checks a seeded slice of its cells; SST_ACCEPTANCE_FULL=1 checks them
 all.  Each cell checks build_bwt against naive_bwt, invert_bwt against
 the text, LceIndex's query and query_many against naive_lce, and the
-det set against naive_det_positions.
+det set against naive_det_positions.  Each text of the cells checks the
+sa kind: the suffix array against naive_suffix_array, the inverse
+against it, and the LCP array against naive_lce.
 """
 
 import importlib.util
@@ -18,7 +20,8 @@ import numpy as np
 from sst.bwt_builder import build_bwt, invert_bwt
 from sst.lce_index import LceIndex
 from sst.packed_text import pack
-from sst.reference_oracles import naive_bwt, naive_det_positions, naive_lce
+from sst.reference_oracles import (naive_bwt, naive_det_positions,
+                                   naive_lce, naive_suffix_array)
 from sst.sync_set import construct
 
 from conftest import full_profile
@@ -26,7 +29,7 @@ from conftest import full_profile
 DIGEST = (pathlib.Path(__file__).resolve().parents[1] / "tools"
           / "identity_digest.py")
 
-# cells of the desk slice, drawn by random.Random(22); about 5 s
+# cells of the desk slice, drawn by random.Random(22); about 6 s
 SLICE = 60
 
 
@@ -36,6 +39,15 @@ def _grid():
     grid = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(grid)
     return grid
+
+
+def _check_suffixes(grid, seq):
+    sa, isa, lcp = grid.suffix_outputs(seq)
+    want = naive_suffix_array(seq)
+    assert sa.tolist() == want
+    assert isa[sa - 1].tolist() == list(range(1, len(seq) + 1))
+    assert lcp.tolist() == [naive_lce(seq, a, b)
+                            for a, b in zip(want, want[1:])]
 
 
 def _check_cell(seq, pt, tau, want_bwt):
@@ -63,9 +75,10 @@ def test_identity_grid_matches_oracles():
     for (sigma, name, n, seq), tau in cells:
         pt = pack(seq, sigma)
         key = (sigma, name, n)
-        if key not in oracle:
-            oracle[key] = naive_bwt(seq)
         try:
+            if key not in oracle:
+                oracle[key] = naive_bwt(seq)
+                _check_suffixes(grid, seq)
             _check_cell(seq, pt, tau, oracle[key])
         except AssertionError as err:
             raise AssertionError("sigma=%d %s n=%d tau=%d"

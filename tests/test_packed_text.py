@@ -268,46 +268,75 @@ def _doubling_texts(rng, n, sigma):
             "unary": [sigma - 1] * n}
 
 
+def _fold(cls, got, length=None):
+    # the fold rule: as many digits of bit_length(C) bits as fit 63 bits
+    # beside the row index, no more than reach past the end, at least 2,
+    # and with a bound no more than reach it
+    m = len(cls)
+    fit = (63 - (m - 1).bit_length()) // (int(cls.max()) + 1).bit_length()
+    k = max(2, min(fit, -(-m // got)))
+    return k if length is None else min(k, -(-length // got))
+
+
 @pytest.mark.parametrize("sigma", [2, 4, 256])
 def test_doubled_classes_unbounded_rank_suffixes(rng, sigma):
-    # from single symbols with no bound: the lengths double, and the
-    # rounds stop at the first one whose classes are all distinct
+    # from single symbols with no bound: each round folds k columns by
+    # the rule, the length grows k-fold, and the rounds stop at the first
+    # one whose classes are all distinct
     for kind, seq in _doubling_texts(rng, 150, sigma).items():
         cls = dense_ranks([np.array(seq)])
         rounds = list(doubled_classes(cls, 1))
-        for k, got in enumerate(rounds, 1):
-            assert got.tolist() == _tuple_ranks(seq, 2 ** k, len(seq)), kind
-        distinct = [len(set(c.tolist())) == len(seq) for c in [cls] + rounds]
+        prev, got = cls, 1
+        for ranks, k in rounds:
+            assert k == _fold(prev, got), kind
+            got *= k
+            assert ranks.tolist() == _tuple_ranks(seq, got, len(seq)), kind
+            prev = ranks
+        distinct = [len(set(c.tolist())) == len(seq)
+                    for c in [cls] + [r for r, _ in rounds]]
         assert distinct[-1] and not any(distinct[:-1]), kind
 
 
 @pytest.mark.parametrize("sigma", [2, 3, 4, 16, 256])
 def test_doubled_classes_bounded_from_one_key_column(rng, sigma):
-    # from the window keys of one column up to a length bound: the steps
-    # are got, cut to reach the bound; the starts whose fragment lies in
-    # the text rank like tuples after every round
+    # from the window keys of one column up to a length bound: each round
+    # folds k columns by the rule, cut to reach the bound; the starts
+    # whose fragment lies in the text rank like tuples after every round
     c = _column_symbols(sigma)
     for length in (c + 1, 2 * c, 2 * c + 7, 5 * c - 3):
         n = length + 40
         for kind, seq in _doubling_texts(rng, n, sigma).items():
             pt = pack(seq, sigma)
             cls = dense_ranks([window_keys(pt, c, n - c + 1)])
-            lengths, got = [], c
-            while got < length:
-                got += min(got, length - got)
-                lengths.append(got)
             rounds = list(doubled_classes(cls, c, length))
-            assert len(rounds) <= len(lengths)
-            for got, ranks in zip(lengths, rounds):
+            prev, got = cls, c
+            for ranks, k in rounds:
+                assert k == _fold(prev, got, length), (kind, length, got)
+                got = min(k * got, length)
                 fit = n - got + 1
                 assert dense_ranks([ranks[:fit]]).tolist() == _tuple_ranks(
                     seq, got, fit), (kind, length, got)
+                prev = ranks
             # a round runs only while some class repeats, and the rounds
             # end before the bound only once every class is distinct
             distinct = [len(set(r.tolist())) == len(r)
-                        for r in [cls] + rounds]
+                        for r in [cls] + [r for r, _ in rounds]]
             assert not any(distinct[:-1]), (kind, length)
-            assert len(rounds) == len(lengths) or distinct[-1], (kind, length)
+            assert got == length or distinct[-1], (kind, length)
+
+
+def test_doubled_classes_fold_per_round():
+    # 150 starts leave 55 bits beside the row index.  Unary text: one
+    # class of 1 bit folds 55 columns, then 55 classes of 6 bits fold
+    # 9, cut to the 3 that reach past the end.  Period 3: 3 classes of
+    # 2 bits fold 27, then 3 + 26 classes of 5 bits fold 11, cut to 6
+    for seq, want in (([0] * 150, [55, 3]), ([0, 1, 2] * 50, [27, 6])):
+        cls = dense_ranks([np.array(seq)])
+        assert [k for _, k in doubled_classes(cls, 1)] == want
+    # with a bound of 100 symbols the last unary round folds 2 columns,
+    # the second at offset 100 - 55
+    cls = dense_ranks([np.zeros(150, dtype=np.int64)])
+    assert [k for _, k in doubled_classes(cls, 1, 100)] == [55, 2]
 
 
 def _check_sorted(cols, order):

@@ -62,11 +62,36 @@ def test_lcp_by_lifting_matches_brute_force(rng):
     for sigma in (2, 4, 256):
         texts += [random_text(rng, rng.randrange(3, 400), sigma),
                   periodic_mosaic(rng, rng.randrange(3, 400), sigma)]
-    for seq in texts:
+    # 16 mutated copies of one base and unary text: two or three kept
+    # levels, each folding k >= 3 columns, so the lifting walks a mixed
+    # radix
+    wide = [[0] * 2000]
+    for sigma in (2, 256):
+        base = random_text(rng, 125, sigma)
+        seq = []
+        for _ in range(16):
+            copy = list(base)
+            copy[rng.randrange(len(copy))] = rng.randrange(sigma)
+            seq += copy
+        wide.append(seq)
+    for seq in texts + wide:
         idx = SuffixArrayIndex(seq)
+        if seq in wide:
+            assert sum(k >= 3 for k in idx.rounds) >= 2, idx.rounds
         sa = idx.sa.tolist()
         want = [naive_lce(seq, a, b) for a, b in zip(sa, sa[1:])]
         assert idx.lcp.tolist() == want, seq
+
+
+def test_rounds_record_each_fold():
+    # 150 symbols leave 55 bits beside the row index.  Unary text keys
+    # 55 one-bit symbols in its column, and its 55 classes of 6 bits fold
+    # 9 columns, cut to the 3 that reach past the end; period-3 text keys
+    # 27 two-bit symbols, and its 3 + 26 classes of 5 bits fold 11, cut
+    # to 6.  A permutation, distinct from its key column, runs no round
+    assert SuffixArrayIndex([7] * 150).rounds == [3]
+    assert SuffixArrayIndex([0, 1, 2] * 50).rounds == [6]
+    assert SuffixArrayIndex(list(range(150))[::-1]).rounds == []
 
 
 def _rank_pairs(n):

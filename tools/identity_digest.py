@@ -18,7 +18,8 @@ runs at tau = default_tau, 1, 2, 62 // (3 * bits), c + 1 and
 - det, random7: the det set and the seed-7 random set;
 - periodic: the Q, B and R masks;
 - tprime: build_tprime's symbols for the seed-0 random set;
-- runs: find_runs' (j, e, p, type) for the seed-0 random set.
+- runs: find_runs' (j, e, p, type) for the seed-0 random set;
+- sa: the sa, isa and lcp of SuffixArrayIndex, once per text.
 """
 
 import collections
@@ -34,7 +35,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from conftest import (fibonacci_word, periodic_mosaic,  # noqa: E402
                       random_text, thue_morse)
-from sst import LceIndex, build_bwt, default_tau, pack  # noqa: E402
+from sst import (LceIndex, SuffixArrayIndex, build_bwt,  # noqa: E402
+                 default_tau, pack)
 from sst.packed_text import _column_symbols  # noqa: E402
 from sst.sync_set import compute_q_and_b, construct, r_mask  # noqa: E402
 from sst.sync_sort import build_tprime, find_runs  # noqa: E402
@@ -101,6 +103,20 @@ def texts():
                 yield sigma, name, n, make(rng, n, sigma)
 
 
+def suffix_outputs(seq):
+    """The sa kind's arrays of one text."""
+    idx = SuffixArrayIndex(seq)
+    return [idx.sa, idx.isa, idx.lcp]
+
+
+def _update(h, label, arrays):
+    h.update(label.encode())
+    for a in arrays:
+        a = np.asarray(a, dtype=np.int64)
+        h.update(b"%d:" % len(a))
+        h.update(a.tobytes())
+
+
 def main():
     hashes = collections.defaultdict(hashlib.sha1)
     count = cells = 0
@@ -109,13 +125,11 @@ def main():
         count += 1
         for tau in taus(n, sigma):
             cells += 1
-            cell = ("%d %s %d %d;" % (sigma, name, n, tau)).encode()
+            cell = "%d %s %d %d;" % (sigma, name, n, tau)
             for kind, arrays in outputs(pt, tau).items():
-                hashes[kind].update(cell)
-                for a in arrays:
-                    a = np.asarray(a, dtype=np.int64)
-                    hashes[kind].update(b"%d:" % len(a))
-                    hashes[kind].update(a.tobytes())
+                _update(hashes[kind], cell, arrays)
+        _update(hashes["sa"], "%d %s %d;" % (sigma, name, n),
+                suffix_outputs(seq))
     print("texts %d cells %d" % (count, cells))
     for kind, h in hashes.items():
         print("%-8s %s" % (kind, h.hexdigest()))

@@ -169,6 +169,7 @@ def build_bwt(pt, tau=None, force_naive=False):
     if force_naive or n < 3 * tau - 1 or 3 * tau * pt.bits_per_symbol > 62:
         index = SuffixArrayIndex(pt.symbols[:n], with_lcp=False)
         sa, rounds = index.sa0, index.rounds
+        # its ranks go before the read-out's gather
         del index
         size, pipeline = 0, "naive-fallback"
     else:
